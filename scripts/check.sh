@@ -5,7 +5,8 @@
 #   release     optimized build + full test suite (the offline-labelled
 #               sharded-build pipeline slice runs first as a fast gate,
 #               then a UNIDETECT_DISABLE_SIMD=1 scalar-fallback slice)
-#   asan-ubsan  address+UB sanitizer build + full test suite
+#   asan-ubsan  address+UB sanitizer build + full test suite, then the
+#               detector kernel equivalence slice
 #   tsan        ThreadSanitizer build + the multithreaded
 #               DetectCorpus / ThreadPool / parallel-load tests and the
 #               DetectionService Reload/ApplyDelta-under-DetectBatch
@@ -49,10 +50,16 @@ ctest --preset release
 # kernel onto its scalar path; re-run the suites that exercise them so
 # the fallback stays green on machines without AVX2/NEON.
 UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
-  -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect'
+  -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|FrEquivalence|UrEquivalence|PrevalenceEquivalence|ColumnEncoding|Candidate|TrainedModelPin'
 
 run_preset asan-ubsan
 ctest --preset asan-ubsan
+# Detector kernel equivalence: the encoded FR/UR/MPD kernels and the
+# prevalence memo against their string-keyed oracles, the candidate
+# split, the golden findings and the trained-model pin, under
+# address+UB sanitizers (the encoding's copy/move lifetime test too).
+ctest --test-dir build-asan-ubsan --output-on-failure \
+  -R 'FrEquivalence|UrEquivalence|PrevalenceEquivalence|MpdEquivalence|ColumnEncoding|Candidate|FindingJsonGolden|TrainedModelPin'
 
 run_preset tsan
 ctest --preset tsan

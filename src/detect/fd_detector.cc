@@ -4,6 +4,7 @@
 
 #include "detect/detector_registry.h"
 #include "detect/unidetect.h"
+#include "featurize/features.h"
 #include "learn/candidates.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -18,15 +19,18 @@ void FdDetector::Detect(const Table& table, std::vector<Finding>* out) const {
       if (l == r) continue;
       if (pairs >= max_pairs_per_table_) return;
       ++pairs;
-      const FdCandidate cand = ExtractFdCandidate(
-          table.column(l), table.column(r), model_->token_prevalence(),
-          options);
+      const FdCandidate cand =
+          ExtractFdCandidate(table.column(l), table.column(r), options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
       // Same reasoning as the uniqueness detector: an FD candidate is
       // only credible when dropping the suspected rows makes the
       // dependency hold exactly (FR(D_O^P) = 1, as in Figure 4(c)).
       if (cand.theta2 < 1.0) continue;
-      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, cand.key,
+      // Keyed only now: Prev(rhs) is the costliest part of the candidate.
+      const FeatureKey key =
+          FdFeatures(table.column(l), table.column(r),
+                     model_->token_prevalence(), options.featurize);
+      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, key,
                                                 cand.theta1, cand.theta2);
       if (lr >= 1.0) continue;
 

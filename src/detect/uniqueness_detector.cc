@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "detect/detector_registry.h"
+#include "featurize/features.h"
 #include "learn/candidates.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -14,8 +15,8 @@ void UniquenessDetector::Detect(const Table& table,
   const ModelOptions& options = model_->options();
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
-    const UniquenessCandidate cand = ExtractUniquenessCandidate(
-        column, c, model_->token_prevalence(), options);
+    const UniquenessCandidate cand =
+        ExtractUniquenessCandidate(column, options);
     if (!cand.valid || cand.dropped_rows.empty()) continue;
     // A uniqueness violation is only meaningful when removing the
     // suspected duplicates restores an exact uniqueness constraint
@@ -23,8 +24,11 @@ void UniquenessDetector::Detect(const Table& table,
     // non-unique after the epsilon-perturbation has no constraint to
     // violate — it is simply a non-key column.
     if (cand.theta2 < 1.0) continue;
-    const double lr = model_->LikelihoodRatio(
-        ErrorClass::kUniqueness, cand.key, cand.theta1, cand.theta2);
+    // Keyed only now: Prev(C) is the costliest part of the candidate.
+    const FeatureKey key = UniquenessFeatures(
+        column, c, model_->token_prevalence(), options.featurize);
+    const double lr = model_->LikelihoodRatio(ErrorClass::kUniqueness, key,
+                                              cand.theta1, cand.theta2);
     if (lr >= 1.0) continue;
 
     Finding finding;

@@ -79,10 +79,22 @@ FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
                               const TokenPrevalence& index,
                               const FeaturizeOptions& options);
 
+/// \brief UniquenessFeatures with Prev(C) already computed
+/// (`prevalence` = index.AveragePrevalence(column)), for callers that key
+/// one column several times.
+FeatureKey UniquenessFeatures(const Column& column, size_t column_position,
+                              double prevalence,
+                              const FeaturizeOptions& options);
+
 /// \brief Key for FD analysis (Section 3.4) over the (lhs, rhs) pair.
 FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
                       const TokenPrevalence& index,
                       const FeaturizeOptions& options);
+
+/// \brief FdFeatures with Prev(rhs) already computed
+/// (`rhs_prevalence` = index.AveragePrevalence(rhs)).
+FeatureKey FdFeatures(const Column& lhs, const Column& rhs,
+                      double rhs_prevalence, const FeaturizeOptions& options);
 
 /// \brief Debug rendering of a key ("class=uniqueness type=3 rows=2 ...").
 std::string FeatureKeyToString(FeatureKey key);

@@ -49,8 +49,6 @@ SpellingCandidate ExtractSpellingCandidate(const Column& column,
 }
 
 UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
-                                               size_t column_position,
-                                               const TokenPrevalence& index,
                                                const ModelOptions& options) {
   UniquenessCandidate out;
   if (column.size() < options.min_column_rows) return out;
@@ -62,22 +60,31 @@ UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = UniquenessFeatures(column, column_position, index,
-                               options.featurize);
   out.theta1 = profile.ur;
   if (out.dropped_rows.size() == profile.duplicate_rows.size()) {
     out.theta2 = profile.ur_perturbed;
   } else {
-    // Partial perturbation: recompute UR on the reduced column.
-    const UrProfile partial =
-        ComputeUrProfile(column.WithoutRows(out.dropped_rows));
+    // Partial perturbation: recompute UR without the dropped rows.
+    const UrProfile partial = ComputeUrProfile(
+        column, MakeRowMask(column.size(), out.dropped_rows));
     out.theta2 = partial.valid ? partial.ur : profile.ur;
   }
   return out;
 }
 
+UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
+                                               size_t column_position,
+                                               const TokenPrevalence& index,
+                                               const ModelOptions& options) {
+  UniquenessCandidate out = ExtractUniquenessCandidate(column, options);
+  if (out.valid) {
+    out.key = UniquenessFeatures(column, column_position, index,
+                                 options.featurize);
+  }
+  return out;
+}
+
 FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
-                               const TokenPrevalence& index,
                                const ModelOptions& options) {
   FdCandidate out;
   if (lhs.size() < options.min_column_rows) return out;
@@ -89,16 +96,23 @@ FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
   if (out.dropped_rows.size() > epsilon) out.dropped_rows.resize(epsilon);
 
   out.valid = true;
-  out.key = FdFeatures(lhs, rhs, index, options.featurize);
   out.theta1 = profile.fr;
   out.violating_groups = profile.violating_groups;
   if (out.dropped_rows.size() == profile.violating_rows.size()) {
     out.theta2 = profile.fr_perturbed;
   } else {
     const FrProfile partial = ComputeFrProfile(
-        lhs.WithoutRows(out.dropped_rows), rhs.WithoutRows(out.dropped_rows));
+        lhs, rhs, MakeRowMask(lhs.size(), out.dropped_rows));
     out.theta2 = partial.valid ? partial.fr : profile.fr;
   }
+  return out;
+}
+
+FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
+                               const TokenPrevalence& index,
+                               const ModelOptions& options) {
+  FdCandidate out = ExtractFdCandidate(lhs, rhs, options);
+  if (out.valid) out.key = FdFeatures(lhs, rhs, index, options.featurize);
   return out;
 }
 

@@ -2,6 +2,13 @@
 // feature key and the (theta1, theta2) metric transition of the natural
 // perturbation for each error class.
 //
+// The uniqueness and FD keys need Prev(C) of a column, which costs more
+// than the metric itself, so their extraction comes in two forms: the
+// metric-only overload leaves `key` unset for callers that compute it
+// only when used (the detectors after their discards, the trainer with
+// one Prev(C) per column); the overload taking a TokenPrevalence also
+// fills `key` from the same featurizer.
+//
 // The Trainer records these transitions for every corpus column; the
 // detectors compute the same transition for a test column and look up its
 // likelihood ratio. Keeping extraction in one place guarantees the
@@ -60,6 +67,11 @@ struct UniquenessCandidate {
   std::vector<size_t> dropped_rows;
 };
 
+/// Metric-only: `key` is left unset (see UniquenessFeatures).
+UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
+                                               const ModelOptions& options);
+
+/// Metrics plus `key` = UniquenessFeatures(column, column_position, ...).
 UniquenessCandidate ExtractUniquenessCandidate(const Column& column,
                                                size_t column_position,
                                                const TokenPrevalence& index,
@@ -77,6 +89,11 @@ struct FdCandidate {
   size_t violating_groups = 0;
 };
 
+/// Metric-only: `key` is left unset (see FdFeatures).
+FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
+                               const ModelOptions& options);
+
+/// Metrics plus `key` = FdFeatures(lhs, rhs, ...).
 FdCandidate ExtractFdCandidate(const Column& lhs, const Column& rhs,
                                const TokenPrevalence& index,
                                const ModelOptions& options);

@@ -1,7 +1,9 @@
 #include "learn/trainer.h"
 
+#include <optional>
 #include <vector>
 
+#include "featurize/features.h"
 #include "learn/candidates.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -11,10 +13,22 @@ namespace unidetect {
 void AddTableObservations(const Table& table, const TokenIndex& index,
                           const ModelOptions& options, size_t max_fd_pairs,
                           Model* out) {
-  // One single-layer view up front; the extractors take the layered
+  // One single-layer view up front; the key featurizers take the layered
   // TokenPrevalence interface (serving queries stacks, training always
   // featurizes against one full-corpus index).
-  const TokenPrevalence prevalence(index);
+  const TokenPrevalence index_view(index);
+
+  // Prev(C) per column, computed on first use: the uniqueness key and
+  // every FD key with the column as rhs share it. Keys ignore it when
+  // featurization is off, so it is not computed then.
+  std::vector<std::optional<double>> prevalence(table.num_columns());
+  const auto prevalence_of = [&](size_t c) {
+    if (!options.featurize.enabled) return 0.0;
+    if (!prevalence[c]) {
+      prevalence[c] = index_view.AveragePrevalence(table.column(c));
+    }
+    return *prevalence[c];
+  };
 
   // Column-level classes.
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -32,10 +46,11 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     }
 
     const UniquenessCandidate uniqueness =
-        ExtractUniquenessCandidate(column, c, prevalence, options);
+        ExtractUniquenessCandidate(column, options);
     if (uniqueness.valid) {
-      out->AddObservation(uniqueness.key, uniqueness.theta1,
-                          uniqueness.theta2);
+      out->AddObservation(UniquenessFeatures(column, c, prevalence_of(c),
+                                             options.featurize),
+                          uniqueness.theta1, uniqueness.theta2);
     }
   }
 
@@ -45,12 +60,19 @@ void AddTableObservations(const Table& table, const TokenIndex& index,
     for (size_t r = 0; r < table.num_columns() && pairs < max_fd_pairs; ++r) {
       if (l == r) continue;
       ++pairs;
-      const FdCandidate fd = ExtractFdCandidate(table.column(l),
-                                                table.column(r), prevalence,
-                                                options);
-      if (fd.valid) out->AddObservation(fd.key, fd.theta1, fd.theta2);
+      const Column& lhs = table.column(l);
+      const Column& rhs = table.column(r);
+      const FdCandidate fd = ExtractFdCandidate(lhs, rhs, options);
+      if (fd.valid) {
+        out->AddObservation(
+            FdFeatures(lhs, rhs, prevalence_of(r), options.featurize),
+            fd.theta1, fd.theta2);
+      }
     }
   }
+  // Each corpus table is visited once: free its columns' caches now
+  // rather than keep them for the corpus's lifetime.
+  for (const Column& column : table.columns()) column.ReleaseCaches();
 }
 
 Model Trainer::Train(const Corpus& corpus) const {

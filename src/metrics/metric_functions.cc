@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -14,24 +15,46 @@
 
 namespace unidetect {
 
-UrProfile ComputeUrProfile(const Column& column) {
+RowMask MakeRowMask(size_t num_rows, const std::vector<size_t>& rows) {
+  RowMask mask(num_rows, false);
+  for (const size_t row : rows) {
+    if (row < num_rows) mask[row] = true;
+  }
+  return mask;
+}
+
+namespace {
+
+bool IsDropped(const RowMask& dropped, size_t row) {
+  return row < dropped.size() && dropped[row];
+}
+
+}  // namespace
+
+UrProfile ComputeUrProfile(const Column& column, const RowMask& dropped) {
   UrProfile out;
-  std::unordered_map<std::string_view, size_t> first_row;
+  const ColumnEncoding& enc = column.Encoding();
+  std::vector<bool> seen(enc.num_distinct(), false);
   size_t total = 0;
+  size_t distinct = 0;
   for (size_t row = 0; row < column.size(); ++row) {
-    std::string_view cell = Trim(column.cell(row));
-    if (cell.empty()) continue;
+    const uint32_t id = enc.ids[row];
+    if (id == ColumnEncoding::kEmpty || IsDropped(dropped, row)) continue;
     ++total;
-    auto [it, inserted] = first_row.emplace(cell, row);
-    if (!inserted) out.duplicate_rows.push_back(row);
+    if (seen[id]) {
+      out.duplicate_rows.push_back(row);
+    } else {
+      seen[id] = true;
+      ++distinct;
+    }
   }
   if (total == 0) return out;
   out.valid = true;
-  const double distinct = static_cast<double>(first_row.size());
-  out.ur = distinct / static_cast<double>(total);
+  out.ur = static_cast<double>(distinct) / static_cast<double>(total);
   const double remaining =
       static_cast<double>(total - out.duplicate_rows.size());
-  out.ur_perturbed = remaining > 0 ? distinct / remaining : 1.0;
+  out.ur_perturbed =
+      remaining > 0 ? static_cast<double>(distinct) / remaining : 1.0;
   return out;
 }
 
@@ -42,17 +65,16 @@ struct DistinctValue {
   size_t first_row;
 };
 
+// The first `max_values` distinct trimmed values, in first-occurrence
+// order: a prefix of the column's value ids.
 std::vector<DistinctValue> CollectDistinctValues(const Column& column,
                                                  const MpdOptions& options) {
+  const ColumnEncoding& enc = column.Encoding();
+  const size_t n = std::min(enc.num_distinct(), options.max_values);
   std::vector<DistinctValue> values;
-  std::unordered_map<std::string_view, size_t> seen;
-  for (size_t row = 0; row < column.size(); ++row) {
-    std::string_view cell = Trim(column.cell(row));
-    if (cell.empty()) continue;
-    if (seen.emplace(cell, row).second) {
-      values.push_back({cell, row});
-      if (values.size() >= options.max_values) break;
-    }
+  values.reserve(n);
+  for (uint32_t id = 0; id < n; ++id) {
+    values.push_back({column.EncodedValue(id), enc.first_rows[id]});
   }
   return values;
 }
@@ -336,6 +358,140 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Exact distance-1 fast path.
+//
+// Two distinct strings are at edit distance 1 exactly when
+//   (a) they have equal length and differ in one position k, so they
+//       agree after deleting position k from both (one substitution), or
+//   (b) one is one character longer and equals the other after one
+//       deletion (one insertion).
+// So every distance-1 pair shows up as a collision between the
+// single-deletion variants of equal-length values with the same k, or
+// between a value and a deletion variant of a value one longer. The
+// variants are hashed (never materialized) into a chained hash table,
+// and every same-hash collision is checked against (a)/(b) character by
+// character, so the listed pairs are exactly the distance-1 pairs.
+//
+// When a distance-1 pair exists, it is the minimum (values are distinct),
+// the closest pair is the lexicographically smallest distance-1 (i, j),
+// and each perturbed MPD is 1 iff some distance-1 pair avoids that
+// endpoint. If both exist the profile is settled without a pair scan;
+// otherwise the caller runs the full scan (an exclusion minimum above 1
+// still needs it).
+
+constexpr int32_t kWholeValue = -1;  // the value itself, no deletion
+constexpr uint32_t kNoVariant = std::numeric_limits<uint32_t>::max();
+
+struct DeletionVariant {
+  uint64_t hash;
+  uint32_t value;  // index into the distinct values
+  int32_t skip;    // deleted position, or kWholeValue
+};
+
+// Character `t` of `s` with position `skip` deleted.
+char VariantChar(std::string_view s, int32_t skip, size_t t) {
+  return skip >= 0 && t >= static_cast<size_t>(skip) ? s[t + 1] : s[t];
+}
+
+// Whether variants x and y witness a distance-1 pair by rule (a) or (b).
+bool IsDistanceOneWitness(const std::vector<DistinctValue>& values,
+                          const DeletionVariant& x, const DeletionVariant& y) {
+  if (x.value == y.value) return false;
+  const std::string_view a = values[x.value].value;
+  const std::string_view b = values[y.value].value;
+  const bool substitution =
+      x.skip >= 0 && x.skip == y.skip && a.size() == b.size();
+  const bool insertion =
+      (x.skip == kWholeValue && y.skip >= 0 && b.size() == a.size() + 1) ||
+      (y.skip == kWholeValue && x.skip >= 0 && a.size() == b.size() + 1);
+  if (!substitution && !insertion) return false;
+  const size_t len = a.size() - (x.skip >= 0 ? 1 : 0);
+  for (size_t t = 0; t < len; ++t) {
+    if (VariantChar(a, x.skip, t) != VariantChar(b, y.skip, t)) return false;
+  }
+  return true;
+}
+
+std::optional<SinglePassResult> DistanceOneFastPath(
+    const std::vector<DistinctValue>& values) {
+  // Polynomial hash over bytes + 1 (so NUL bytes still move the hash).
+  constexpr uint64_t kBase = 0x100000001b3ULL;
+  size_t num_variants = 0;
+  for (const DistinctValue& v : values) num_variants += v.value.size() + 1;
+  std::vector<DeletionVariant> variants;
+  variants.reserve(num_variants);
+  // Open addressing on the hash; each slot heads a chain (`next`) of the
+  // variants sharing that exact 64-bit hash.
+  const size_t slots = std::bit_ceil(2 * num_variants);
+  // Fibonacci hashing: the top bits of the product mix every hash bit
+  // (the low bits of a polynomial hash are weak).
+  const int slot_shift = 64 - std::countr_zero(slots);
+  std::vector<uint32_t> head(slots, kNoVariant);
+  std::vector<uint32_t> next(num_variants, kNoVariant);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  const auto insert = [&](const DeletionVariant& variant) {
+    const auto self = static_cast<uint32_t>(variants.size());
+    variants.push_back(variant);
+    size_t slot = static_cast<size_t>(
+        (variant.hash * 0x9e3779b97f4a7c15ULL) >> slot_shift);
+    while (head[slot] != kNoVariant &&
+           variants[head[slot]].hash != variant.hash) {
+      slot = (slot + 1) & (slots - 1);
+    }
+    for (uint32_t o = head[slot]; o != kNoVariant; o = next[o]) {
+      if (IsDistanceOneWitness(values, variants[o], variant)) {
+        // Chained variants belong to earlier values: o's value < ours.
+        pairs.emplace_back(variants[o].value, variant.value);
+      }
+    }
+    next[self] = head[slot];
+    head[slot] = self;
+  };
+
+  std::vector<uint64_t> prefix;
+  std::vector<uint64_t> suffix;
+  std::vector<uint64_t> power;
+  for (size_t v = 0; v < values.size(); ++v) {
+    const std::string_view s = values[v].value;
+    const size_t len = s.size();
+    prefix.assign(len + 1, 0);
+    suffix.assign(len + 1, 0);
+    power.assign(len + 1, 1);
+    for (size_t t = 0; t < len; ++t) {
+      power[t + 1] = power[t] * kBase;
+      prefix[t + 1] =
+          prefix[t] * kBase + static_cast<unsigned char>(s[t]) + 1;
+    }
+    for (size_t t = len; t-- > 0;) {
+      suffix[t] = (static_cast<uint64_t>(static_cast<unsigned char>(s[t])) +
+                   1) * power[len - 1 - t] +
+                  suffix[t + 1];
+    }
+    const auto idx = static_cast<uint32_t>(v);
+    insert({prefix[len], idx, kWholeValue});
+    for (size_t k = 0; k < len; ++k) {
+      insert({prefix[k] * power[len - 1 - k] + suffix[k + 1], idx,
+              static_cast<int32_t>(k)});
+    }
+  }
+  if (pairs.empty()) return std::nullopt;
+
+  const auto [i, j] = *std::min_element(pairs.begin(), pairs.end());
+  bool avoids_i = false;
+  bool avoids_j = false;
+  for (const auto& [p, q] : pairs) {
+    avoids_i = avoids_i || (p != i && q != i);
+    avoids_j = avoids_j || (p != j && q != j);
+  }
+  if (!avoids_i || !avoids_j) return std::nullopt;
+  SinglePassResult out;
+  out.best = {1, i, j};
+  out.excl_i = 1;
+  out.excl_j = 1;
+  return out;
+}
+
 double AvgDifferingTokenLength(std::string_view a, std::string_view b) {
   std::vector<std::string> ta = TokenizeCell(a);
   std::vector<std::string> tb = TokenizeCell(b);
@@ -384,8 +540,10 @@ MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options) {
       CollectDistinctValues(column, options);
   if (values.size() < 3) return out;
 
+  std::optional<SinglePassResult> fast;
+  if (options.distance_cap >= 1) fast = DistanceOneFastPath(values);
   const SinglePassResult found =
-      SinglePassClosestPair(values, options.distance_cap);
+      fast ? *fast : SinglePassClosestPair(values, options.distance_cap);
 
   out.valid = true;
   out.mpd = std::min(found.best.dist, options.distance_cap + 1);
@@ -449,7 +607,99 @@ MpdProfile ComputeMpdProfileReference(const Column& column,
   return out;
 }
 
-FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs) {
+FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs,
+                           const RowMask& dropped) {
+  FrProfile out;
+  const size_t n = std::min(lhs.size(), rhs.size());
+  if (n == 0) return out;
+  const ColumnEncoding& lhs_enc = lhs.Encoding();
+  const ColumnEncoding& rhs_enc = rhs.Encoding();
+  const auto used = [&](size_t row) {
+    return lhs_enc.ids[row] != ColumnEncoding::kEmpty &&
+           rhs_enc.ids[row] != ColumnEncoding::kEmpty &&
+           !IsDropped(dropped, row);
+  };
+
+  // Counting sort of the used rows by lhs id: group g's rows are
+  // by_lhs[start[g], start[g + 1]), ascending.
+  const size_t num_lhs = lhs_enc.num_distinct();
+  std::vector<size_t> start(num_lhs + 1, 0);
+  size_t used_rows = 0;
+  for (size_t row = 0; row < n; ++row) {
+    if (!used(row)) continue;
+    ++start[lhs_enc.ids[row] + 1];
+    ++used_rows;
+  }
+  if (used_rows == 0) return out;
+  size_t groups = 0;
+  for (size_t g = 0; g < num_lhs; ++g) {
+    if (start[g + 1] > 0) ++groups;
+    start[g + 1] += start[g];
+  }
+  // Degenerate candidates where an FD is trivially true or meaningless:
+  // a single-group lhs is a constant column.
+  if (groups <= 1) return out;
+  std::vector<size_t> by_lhs(used_rows);
+  {
+    std::vector<size_t> cursor(start.begin(), start.end() - 1);
+    for (size_t row = 0; row < n; ++row) {
+      if (used(row)) by_lhs[cursor[lhs_enc.ids[row]]++] = row;
+    }
+  }
+
+  // Per group, tally rows and first row per rhs id. `stamp` marks which
+  // group last touched an rhs id, so the tallies reset lazily.
+  const size_t num_rhs = rhs_enc.num_distinct();
+  std::vector<size_t> stamp(num_rhs, num_lhs);
+  std::vector<size_t> tally(num_rhs, 0);
+  std::vector<size_t> first_row(num_rhs, 0);
+  std::vector<uint32_t> group_rhs;
+  size_t distinct_pairs = 0;
+  size_t conforming_pairs = 0;
+  for (size_t g = 0; g < num_lhs; ++g) {
+    if (start[g] == start[g + 1]) continue;
+    group_rhs.clear();
+    for (size_t p = start[g]; p < start[g + 1]; ++p) {
+      const uint32_t r = rhs_enc.ids[by_lhs[p]];
+      if (stamp[r] != g) {
+        stamp[r] = g;
+        tally[r] = 0;
+        first_row[r] = by_lhs[p];
+        group_rhs.push_back(r);
+      }
+      ++tally[r];
+    }
+    distinct_pairs += group_rhs.size();
+    if (group_rhs.size() == 1) {
+      ++conforming_pairs;
+      continue;
+    }
+    ++out.violating_groups;
+    // Keep the majority rhs (ties: the one appearing first); all rows of
+    // the minority rhs values form the perturbation set.
+    uint32_t best = group_rhs.front();
+    for (const uint32_t r : group_rhs) {
+      if (tally[r] > tally[best] ||
+          (tally[r] == tally[best] && first_row[r] < first_row[best])) {
+        best = r;
+      }
+    }
+    for (size_t p = start[g]; p < start[g + 1]; ++p) {
+      if (rhs_enc.ids[by_lhs[p]] != best) {
+        out.violating_rows.push_back(by_lhs[p]);
+      }
+    }
+  }
+  out.valid = true;
+  out.fr = static_cast<double>(conforming_pairs) /
+           static_cast<double>(distinct_pairs);
+  // Dropping all minority rows leaves exactly one rhs per lhs group.
+  out.fr_perturbed = 1.0;
+  std::sort(out.violating_rows.begin(), out.violating_rows.end());
+  return out;
+}
+
+FrProfile ComputeFrProfileReference(const Column& lhs, const Column& rhs) {
   FrProfile out;
   const size_t n = std::min(lhs.size(), rhs.size());
   if (n == 0) return out;

@@ -20,6 +20,17 @@
 
 namespace unidetect {
 
+/// \brief Rows left out of a metric computation: `mask[row]` true drops
+/// the row; rows at or past `mask.size()` are kept. Computing a metric
+/// under a mask equals computing it on Column::WithoutRows of the masked
+/// rows, without copying the column (the partial perturbations of
+/// learn/candidates.cc).
+using RowMask = std::vector<bool>;
+
+/// \brief Mask of `num_rows` rows dropping `rows` (entries >= num_rows
+/// are ignored, as in Column::WithoutRows).
+RowMask MakeRowMask(size_t num_rows, const std::vector<size_t>& rows);
+
 // ---------------------------------------------------------------------------
 // Uniqueness ratio (UR), Section 3.3.
 
@@ -33,9 +44,11 @@ struct UrProfile {
   std::vector<size_t> duplicate_rows;
 };
 
-/// \brief Computes the uniqueness profile of a column. Empty cells are
-/// ignored for duplicate detection (missing values are not duplicates).
-UrProfile ComputeUrProfile(const Column& column);
+/// \brief Computes the uniqueness profile of a column over the rows
+/// `dropped` keeps, reading the column's value ids (Column::Encoding).
+/// Empty cells are ignored for duplicate detection (missing values are
+/// not duplicates).
+UrProfile ComputeUrProfile(const Column& column, const RowMask& dropped = {});
 
 // ---------------------------------------------------------------------------
 // Minimum pair-wise edit distance (MPD), Section 3.2 / Example 1.
@@ -74,10 +87,13 @@ struct MpdOptions {
 /// non-numeric-only values. Numeric columns are not meaningful targets
 /// for edit-distance spelling analysis and return valid = false.
 ///
-/// Internally runs a single length-sorted pass over value pairs that
-/// yields the closest pair and both endpoint-exclusion minima at once,
-/// with bit-parallel bounded edit distances and cheap lower-bound
-/// prefilters (see metric_functions.cc).
+/// Internally first lists every distance-1 pair exactly from
+/// single-deletion variants; when those settle the closest pair and both
+/// perturbed MPDs at 1, no pair scan runs. Otherwise it runs a single
+/// length-sorted pass over value pairs that yields the closest pair and
+/// both endpoint-exclusion minima at once, with bit-parallel bounded
+/// edit distances and cheap lower-bound prefilters (see
+/// metric_functions.cc).
 MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options = {});
 
 /// \brief Reference implementation of ComputeMpdProfile: three full
@@ -103,7 +119,16 @@ struct FrProfile {
   size_t violating_groups = 0;
 };
 
-/// \brief Computes the FR profile of the (lhs, rhs) column pair.
-FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs);
+/// \brief Computes the FR profile of the (lhs, rhs) column pair over the
+/// rows `dropped` keeps: an integer group-by over both columns' value ids
+/// (Column::Encoding).
+FrProfile ComputeFrProfile(const Column& lhs, const Column& rhs,
+                           const RowMask& dropped = {});
+
+/// \brief Reference implementation of ComputeFrProfile: groups trimmed
+/// cell strings in nested hash maps (the seed algorithm). Kept as the
+/// oracle for property tests and the baseline for perf benchmarks;
+/// produces results identical to ComputeFrProfile.
+FrProfile ComputeFrProfileReference(const Column& lhs, const Column& rhs);
 
 }  // namespace unidetect

@@ -1,5 +1,6 @@
 #include "synthesis/fd_synthesis_detector.h"
 
+#include "featurize/features.h"
 #include "learn/candidates.h"
 #include "util/string_util.h"
 
@@ -22,10 +23,11 @@ void FdSynthesisDetector::Detect(const Table& table,
       if (!synth.found || synth.violating_rows.empty()) continue;
       // A programmatic relationship exists and a few rows break it; run
       // the ordinary FD perturbation test on the pair.
-      const FdCandidate cand =
-          ExtractFdCandidate(lhs, rhs, model_->token_index(), options);
+      const FdCandidate cand = ExtractFdCandidate(lhs, rhs, options);
       if (!cand.valid || cand.dropped_rows.empty()) continue;
-      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, cand.key,
+      const FeatureKey key =
+          FdFeatures(lhs, rhs, model_->token_index(), options.featurize);
+      const double lr = model_->LikelihoodRatio(ErrorClass::kFd, key,
                                                 cand.theta1, cand.theta2);
       if (lr >= 1.0) continue;
 

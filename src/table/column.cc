@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <functional>
 #include <unordered_set>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
@@ -21,6 +24,14 @@ void Column::Append(std::string value) {
 void Column::InvalidateCaches() const {
   type_cached_ = false;
   numeric_cached_ = false;
+  encoding_cached_ = false;
+}
+
+void Column::ReleaseCaches() const {
+  InvalidateCaches();
+  numeric_values_ = {};
+  numeric_rows_ = {};
+  encoding_ = {};
 }
 
 ColumnType Column::type() const {
@@ -97,6 +108,56 @@ size_t Column::NumDistinct() const {
   distinct.reserve(cells_.size());
   for (const auto& cell : cells_) distinct.insert(cell);
   return distinct.size();
+}
+
+const ColumnEncoding& Column::Encoding() const {
+  if (encoding_cached_) return encoding_;
+  // Rows and ids are u32 with UINT32_MAX reserved for kEmpty.
+  UNIDETECT_CHECK(cells_.size() < ColumnEncoding::kEmpty);
+  ColumnEncoding& enc = encoding_;
+  enc.ids.assign(cells_.size(), ColumnEncoding::kEmpty);
+  enc.first_rows.clear();
+  enc.counts.clear();
+  enc.non_empty = 0;
+  // Open addressing over ids: a slot holds id + 1 (0 = free) and a probe
+  // compares the trimmed text of the id's first row, so nothing outlives
+  // this build but row indices. One flat table, no per-value nodes.
+  const size_t slots = std::bit_ceil(2 * cells_.size() + 1);
+  std::vector<uint32_t> table(slots, 0);
+  std::vector<size_t> id_hash;
+  const std::hash<std::string_view> hasher;
+  for (size_t row = 0; row < cells_.size(); ++row) {
+    const std::string_view cell = Trim(cells_[row]);
+    if (cell.empty()) continue;
+    ++enc.non_empty;
+    const size_t hash = hasher(cell);
+    size_t slot = hash & (slots - 1);
+    while (table[slot] != 0) {
+      const uint32_t id = table[slot] - 1;
+      if (id_hash[id] == hash && Trim(cells_[enc.first_rows[id]]) == cell) {
+        break;
+      }
+      slot = (slot + 1) & (slots - 1);
+    }
+    if (table[slot] == 0) {
+      table[slot] = static_cast<uint32_t>(enc.first_rows.size()) + 1;
+      enc.first_rows.push_back(static_cast<uint32_t>(row));
+      enc.counts.push_back(0);
+      id_hash.push_back(hash);
+    }
+    const uint32_t id = table[slot] - 1;
+    enc.ids[row] = id;
+    ++enc.counts[id];
+  }
+  // The encoding lives as long as the column: drop the growth slack.
+  enc.first_rows.shrink_to_fit();
+  enc.counts.shrink_to_fit();
+  encoding_cached_ = true;
+  return enc;
+}
+
+std::string_view Column::EncodedValue(uint32_t id) const {
+  return Trim(cells_[Encoding().first_rows[id]]);
 }
 
 Column Column::WithoutRows(const std::vector<size_t>& rows) const {

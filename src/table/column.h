@@ -3,19 +3,53 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "table/types.h"
 
 namespace unidetect {
 
+/// \brief Dense integer encoding of a column's trimmed cell values.
+///
+/// Equal `Trim`med cells share one id; ids are assigned 0, 1, 2, ... in
+/// order of first occurrence, so id k's value is the trimmed text of
+/// row `first_rows[k]`. The encoding holds row indices only, never views
+/// into the cell strings, so it stays valid when its Column is copied or
+/// moved (short strings live inline and change address with the Column).
+/// Rows and ids are 32-bit: a column holds fewer than 2^32 - 1 rows.
+struct ColumnEncoding {
+  /// Id of a cell that is empty after trimming.
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  /// Per row: the value id, or kEmpty.
+  std::vector<uint32_t> ids;
+  /// Per id: the row of its first occurrence (ascending).
+  std::vector<uint32_t> first_rows;
+  /// Per id: the number of rows holding it.
+  std::vector<uint32_t> counts;
+  /// Rows whose cell is not empty after trimming.
+  size_t non_empty = 0;
+
+  size_t num_distinct() const { return first_rows.size(); }
+};
+
 /// \brief A single table column.
 ///
 /// Cells are stored as strings (tables in the wild are untyped text);
-/// numeric interpretation and the dominant ColumnType are derived on
-/// demand and cached. Mutation invalidates the caches.
+/// numeric interpretation, the dominant ColumnType and the value
+/// encoding are derived on demand and cached. Mutation invalidates the
+/// caches.
+///
+/// Thread safety: the lazy caches are filled on first read through a
+/// const method, so two threads must not make the first read of one
+/// Column at once (this holds for type(), NumericValues() and
+/// Encoding() alike). Detection respects this by giving each table to
+/// exactly one worker: UniDetect::DetectCorpus and
+/// DetectionService::DetectBatch shard by table, never within one.
 class Column {
  public:
   Column() = default;
@@ -55,6 +89,19 @@ class Column {
   /// \brief Number of distinct cell strings.
   size_t NumDistinct() const;
 
+  /// \brief The value encoding of the trimmed cells (see ColumnEncoding).
+  const ColumnEncoding& Encoding() const;
+
+  /// \brief Trimmed text of value `id` of Encoding(). The view points into
+  /// this Column's cells and lives as long as they are unmodified.
+  std::string_view EncodedValue(uint32_t id) const;
+
+  /// \brief Frees the cached derived state; the next read rebuilds it.
+  /// For single-pass consumers (the trainer), so a corpus does not keep
+  /// every column's caches alive after their one use. Same thread-safety
+  /// rule as a first read.
+  void ReleaseCaches() const;
+
   /// \brief Returns a copy with the given rows removed (the perturbation
   /// primitive D \ O from Definition 2). Row indices may be unsorted.
   Column WithoutRows(const std::vector<size_t>& rows) const;
@@ -73,6 +120,8 @@ class Column {
   mutable std::vector<double> numeric_values_;
   mutable std::vector<size_t> numeric_rows_;
   mutable size_t non_empty_count_ = 0;
+  mutable bool encoding_cached_ = false;
+  mutable ColumnEncoding encoding_;
 };
 
 }  // namespace unidetect

@@ -12,6 +12,43 @@ namespace unidetect {
 /// \brief Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
+/// \brief The characters TokenizeCell splits on: space, tab, CR, LF and
+/// common punctuation (not \v or \f, which Trim does strip).
+inline bool IsTokenSeparator(char c) {
+  switch (c) {
+    case ' ':
+    case '\t':
+    case '\n':
+    case '\r':
+    case ',':
+    case ';':
+    case ':':
+    case '/':
+    case '(':
+    case ')':
+    case '[':
+    case ']':
+    case '"':
+    case '\'':
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// \brief Calls `fn(token)` for each token of TokenizeCell(s), in order,
+/// as views into `s` (no allocation).
+template <typename Fn>
+void ForEachCellToken(std::string_view s, Fn&& fn) {
+  size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && IsTokenSeparator(s[i])) ++i;
+    const size_t start = i;
+    while (i < s.size() && !IsTokenSeparator(s[i])) ++i;
+    if (i > start) fn(s.substr(start, i - start));
+  }
+}
+
 /// \brief Splits on runs of whitespace and common punctuation, dropping
 /// empty tokens. This is the canonical cell tokenizer used for token
 /// prevalence and dictionary features.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "table/table.h"
+
 namespace unidetect {
 namespace {
 
@@ -100,6 +102,43 @@ TEST(CandidateKeysTest, MatchDirectFeaturization) {
   const OutlierCandidate cand = ExtractOutlierCandidate(col, options);
   ASSERT_TRUE(cand.valid);
   EXPECT_TRUE(cand.key == OutlierFeatures(col, options.featurize));
+}
+
+TEST(CandidateKeysTest, SplitKeyMatchesCombinedExtraction) {
+  // The metric-only overloads plus the featurizer give the same
+  // candidate and key as the combined overloads, and the prevalence
+  // overloads of the featurizers the same key as the index overloads.
+  ModelOptions options = TestOptions();
+  options.epsilon.min_rows = 1;
+  options.epsilon.fraction = 0.0;
+  TokenIndex index;
+  Table corpus_table("t");
+  ASSERT_TRUE(corpus_table.AddColumn(Column("c", {"Paris", "France"})).ok());
+  index.AddTable(corpus_table);
+  const Column lhs("city", {"Paris", "Paris", "Lyon", "Paris", "Lyon", "Nice"});
+  const Column rhs("country",
+                   {"France", "FR", "France", "Fr", "France", "France"});
+
+  const FdCandidate combined = ExtractFdCandidate(lhs, rhs, index, options);
+  const FdCandidate split = ExtractFdCandidate(lhs, rhs, options);
+  ASSERT_TRUE(combined.valid);
+  ASSERT_TRUE(split.valid);
+  EXPECT_EQ(split.theta1, combined.theta1);
+  EXPECT_EQ(split.theta2, combined.theta2);
+  EXPECT_EQ(split.dropped_rows, combined.dropped_rows);
+  EXPECT_TRUE(FdFeatures(lhs, rhs, index, options.featurize) == combined.key);
+  EXPECT_TRUE(FdFeatures(lhs, rhs, index.AveragePrevalence(rhs),
+                         options.featurize) == combined.key);
+
+  const UniquenessCandidate u_combined =
+      ExtractUniquenessCandidate(lhs, 2, index, options);
+  const UniquenessCandidate u_split = ExtractUniquenessCandidate(lhs, options);
+  ASSERT_TRUE(u_combined.valid);
+  EXPECT_EQ(u_split.theta1, u_combined.theta1);
+  EXPECT_EQ(u_split.theta2, u_combined.theta2);
+  EXPECT_EQ(u_split.dropped_rows, u_combined.dropped_rows);
+  EXPECT_TRUE(UniquenessFeatures(lhs, 2, index.AveragePrevalence(lhs),
+                                 options.featurize) == u_combined.key);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 namespace unidetect {
 namespace {
 
@@ -77,6 +81,58 @@ TEST(ColumnTest, WithoutRows) {
   // Unsorted and out-of-range rows are tolerated.
   Column reduced2 = col.WithoutRows({3, 0, 99});
   EXPECT_EQ(reduced2.cells(), (std::vector<std::string>{"b", "c"}));
+}
+
+TEST(ColumnEncodingTest, IdsFollowFirstOccurrenceOfTrimmedValues) {
+  Column col = MakeColumn({"a", " a", "", "b", "  ", "a\v", "b", "\fc"});
+  const ColumnEncoding& enc = col.Encoding();
+  const uint32_t e = ColumnEncoding::kEmpty;
+  EXPECT_EQ(enc.ids, (std::vector<uint32_t>{0, 0, e, 1, e, 0, 1, 2}));
+  EXPECT_EQ(enc.first_rows, (std::vector<uint32_t>{0, 3, 7}));
+  EXPECT_EQ(enc.counts, (std::vector<uint32_t>{3, 2, 1}));
+  EXPECT_EQ(enc.non_empty, 6u);
+  EXPECT_EQ(enc.num_distinct(), 3u);
+  EXPECT_EQ(col.EncodedValue(2), "c");
+  EXPECT_TRUE(MakeColumn({}).Encoding().ids.empty());
+}
+
+// Short strings live inline in std::string, so an encoding holding
+// views into the cells would dangle once its source Column is gone.
+// The encoding holds rows, and a copied or moved Column's encoding
+// reads its own cells.
+TEST(ColumnEncodingTest, SurvivesCopyAndMoveOfInlineStrings) {
+  auto source = std::make_unique<Column>(
+      "c", std::vector<std::string>{"x", "yy", "x", " yy", "z"});
+  ASSERT_EQ(source->Encoding().num_distinct(), 3u);  // warm the cache
+
+  Column copied = *source;
+  auto moved_from = std::make_unique<Column>(*source);
+  Column moved = std::move(*moved_from);
+  source.reset();
+  moved_from.reset();
+
+  for (const Column* col : {&copied, &moved}) {
+    const ColumnEncoding& enc = col->Encoding();
+    EXPECT_EQ(enc.ids, (std::vector<uint32_t>{0, 1, 0, 1, 2}));
+    EXPECT_EQ(col->EncodedValue(0), "x");
+    EXPECT_EQ(col->EncodedValue(1), "yy");
+    EXPECT_EQ(col->EncodedValue(2), "z");
+  }
+}
+
+TEST(ColumnEncodingTest, SetCellAndAppendRebuild) {
+  Column col = MakeColumn({"a", "b", "a"});
+  EXPECT_EQ(col.Encoding().num_distinct(), 2u);
+  col.SetCell(2, "c");
+  EXPECT_EQ(col.Encoding().ids, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(col.EncodedValue(2), "c");
+  col.Append(" b ");
+  EXPECT_EQ(col.Encoding().ids, (std::vector<uint32_t>{0, 1, 2, 1}));
+  EXPECT_EQ(col.Encoding().counts, (std::vector<uint32_t>{1, 2, 1}));
+  col.SetCell(0, "");
+  EXPECT_EQ(col.Encoding().ids[0], ColumnEncoding::kEmpty);
+  EXPECT_EQ(col.Encoding().first_rows, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(col.Encoding().non_empty, 3u);
 }
 
 TEST(TableTest, AddColumnEnforcesLength) {

@@ -323,5 +323,138 @@ TEST(MpdEquivalenceTest, LongStringsUseBandedFallback) {
   EXPECT_EQ(fast.mpd, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Exact distance-1 fast path vs the three-scan reference. Each case runs
+// with the SIMD prefilter on and off: when the fast path falls through,
+// the scan must still agree.
+
+void ExpectSameMpdProfileSimdOnOff(const Column& column,
+                                   const MpdOptions& options,
+                                   const std::string& context) {
+  for (bool enabled : {true, false}) {
+    simd::SetSimdEnabled(enabled);
+    ExpectSameMpdProfile(column, options,
+                         context + " simd=" + std::to_string(enabled));
+  }
+  simd::SetSimdEnabled(true);
+}
+
+TEST(MpdEquivalenceTest, DenseDistanceOnePairs) {
+  // Stems with one-character substitutions, insertions and deletions:
+  // many distance-1 pairs, often sharing endpoints.
+  Rng rng(0xD151);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<std::string> stems;
+    for (int s = 0; s < 4; ++s) stems.push_back(rng.AlphaString(3 + s));
+    std::vector<std::string> cells;
+    const size_t n = 3 + rng.NextBounded(60);
+    for (size_t i = 0; i < n; ++i) {
+      std::string v = stems[rng.NextBounded(stems.size())];
+      const size_t pos = rng.NextBounded(v.size());
+      switch (rng.NextBounded(4)) {
+        case 0:
+          v[pos] = static_cast<char>('a' + rng.NextBounded(3));
+          break;
+        case 1:
+          v.insert(pos, 1, static_cast<char>('a' + rng.NextBounded(3)));
+          break;
+        case 2:
+          v.erase(pos, 1);
+          break;
+        default:
+          break;
+      }
+      cells.push_back(std::move(v));
+    }
+    MpdOptions options;
+    options.distance_cap = trial % 3 == 0 ? 1 : 20;
+    ExpectSameMpdProfileSimdOnOff(Column("c", cells), options,
+                                  "trial=" + std::to_string(trial));
+  }
+}
+
+TEST(MpdEquivalenceTest, DistanceOnePairsSharingEndpoints) {
+  // (0,1), (0,2), (1,2) are all distance 1: every endpoint of the
+  // closest pair (0,1) is avoided by another distance-1 pair.
+  const Column column("c", {"abc", "abd", "abe", "zzzzzz"});
+  ExpectSameMpdProfileSimdOnOff(column, MpdOptions{}, "shared");
+  const MpdProfile fast = ComputeMpdProfile(column);
+  ASSERT_TRUE(fast.valid);
+  EXPECT_EQ(fast.mpd, 1u);
+  EXPECT_EQ(fast.mpd_perturbed, 1u);
+  EXPECT_EQ(fast.value_a, "abc");
+  EXPECT_EQ(fast.value_b, "abd");
+  EXPECT_EQ(fast.drop_row, fast.row_a);
+}
+
+TEST(MpdEquivalenceTest, StarGraphFallsThroughToScan) {
+  // Every distance-1 pair touches the hub "cat"; the spokes are pairwise
+  // distance 2, so dropping the hub leaves MPD 2: no shortcut applies.
+  const Column column("c", {"cat", "bat", "cut", "cab", "cats"});
+  ExpectSameMpdProfileSimdOnOff(column, MpdOptions{}, "star");
+  const MpdProfile fast = ComputeMpdProfile(column);
+  ASSERT_TRUE(fast.valid);
+  EXPECT_EQ(fast.mpd, 1u);
+  EXPECT_EQ(fast.mpd_perturbed, 2u);
+  EXPECT_EQ(fast.drop_row, 0u);  // the hub
+}
+
+TEST(MpdEquivalenceTest, OneEndpointAvoidedFallsThroughToScan) {
+  // Distance-1 pairs (cat,cut) and (cut,cub): a pair avoids "cat" but
+  // none avoids "cut", so dropping "cut" leaves MPD 2.
+  const Column column("c", {"cat", "cut", "cub", "dog"});
+  ExpectSameMpdProfileSimdOnOff(column, MpdOptions{}, "one-sided");
+  const MpdProfile fast = ComputeMpdProfile(column);
+  ASSERT_TRUE(fast.valid);
+  EXPECT_EQ(fast.mpd, 1u);
+  EXPECT_EQ(fast.mpd_perturbed, 2u);
+  EXPECT_EQ(fast.drop_row, 1u);
+  EXPECT_EQ(fast.value_a, "cat");
+  EXPECT_EQ(fast.value_b, "cut");
+}
+
+TEST(MpdEquivalenceTest, InsertionsAndRepeatedCharacters) {
+  // Insertions at both ends and inside runs of equal characters, where
+  // several deletions give the same variant; "ab"/"ba" collide on a
+  // deletion variant but are at distance 2.
+  const Column column("c",
+                      {"aab", "ab", "aaab", "ba", "xaab", "aabx", "acb"});
+  ExpectSameMpdProfileSimdOnOff(column, MpdOptions{}, "insertions");
+  const Column swaps("c", {"ab", "ba", "xyzw", "wzyx"});
+  ExpectSameMpdProfileSimdOnOff(swaps, MpdOptions{}, "swaps");
+  EXPECT_EQ(ComputeMpdProfile(swaps).mpd, 2u);
+}
+
+TEST(MpdEquivalenceTest, DistanceCapZeroAndOne) {
+  const Column column("c", {"abc", "abd", "abe", "xyz", "xyw"});
+  for (size_t cap : {size_t{0}, size_t{1}}) {
+    MpdOptions options;
+    options.distance_cap = cap;
+    ExpectSameMpdProfileSimdOnOff(column, options,
+                                  "cap=" + std::to_string(cap));
+  }
+  const Column far("c", {"aaaa", "bbbb", "cccc", "abcd"});
+  for (size_t cap : {size_t{0}, size_t{1}}) {
+    MpdOptions options;
+    options.distance_cap = cap;
+    ExpectSameMpdProfileSimdOnOff(far, options,
+                                  "far cap=" + std::to_string(cap));
+  }
+}
+
+TEST(MpdEquivalenceTest, MaxValuesCutoffBoundsTheFastPath) {
+  // The only distance-1 pairs involve values past the cutoff, or need a
+  // value past it to avoid an endpoint.
+  const Column column("c", {"alpha", "bravo", "charlie", "delta", "alphq",
+                            "bravx", "deltq"});
+  for (size_t max_values : {size_t{3}, size_t{4}, size_t{5}, size_t{6},
+                            size_t{7}}) {
+    MpdOptions options;
+    options.max_values = max_values;
+    ExpectSameMpdProfileSimdOnOff(
+        column, options, "max_values=" + std::to_string(max_values));
+  }
+}
+
 }  // namespace
 }  // namespace unidetect

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
 #include "corpus/generator.h"
 #include "learn/candidates.h"
+#include "model_format/model_snapshot.h"
 
 namespace unidetect {
 namespace {
@@ -66,6 +71,53 @@ TEST(TrainerTest, ModelOptionsArePropagated) {
   EXPECT_FALSE(model.options().featurize.enabled);
   // With featurization off there is at most one subset per error class.
   EXPECT_LE(model.num_subsets(), 4u);
+}
+
+// The serialized model of a fixed seeded corpus, pinned by length and
+// FNV-1a hash. The values were recorded from the string-keyed kernels
+// (nested-map FR, per-pair Prev(rhs), WithoutRows re-computations), so
+// the encoded kernels, the split key path and the prevalence memo are
+// shown to leave every trained statistic unchanged. The corpus mixes
+// WEB, WIKI and tall Enterprise tables so partial perturbations and
+// distance-1 MPD columns occur.
+Corpus PinCorpus() {
+  Corpus corpus = GenerateCorpus(WebCorpusSpec(300, 21)).corpus;
+  for (Table& table : GenerateCorpus(WikiCorpusSpec(100, 22)).corpus.tables) {
+    corpus.tables.push_back(std::move(table));
+  }
+  for (Table& table :
+       GenerateCorpus(EnterpriseCorpusSpec(16, 5)).corpus.tables) {
+    corpus.tables.push_back(std::move(table));
+  }
+  return corpus;
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(TrainedModelPinTest, SerializedModelMatchesRecordedHash) {
+  const Corpus corpus = PinCorpus();
+  struct Pin {
+    bool featurize;
+    size_t size;
+    uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{true, 788744, 0x61b6b7194b288bfaULL},
+                         Pin{false, 946824, 0x750387624dfa1fb5ULL}}) {
+    TrainerOptions options;
+    options.num_threads = 2;
+    options.model.featurize.enabled = pin.featurize;
+    const std::string bytes =
+        EncodeModelSnapshot(Trainer(options).Train(corpus));
+    EXPECT_EQ(bytes.size(), pin.size) << "featurize=" << pin.featurize;
+    EXPECT_EQ(Fnv1a(bytes), pin.hash) << "featurize=" << pin.featurize;
+  }
 }
 
 }  // namespace
