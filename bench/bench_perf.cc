@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -99,6 +100,39 @@ BENCHMARK(BM_MpdProfileReference)
     ->Arg(200)
     ->Arg(400)
     ->Complexity();
+
+// `n` distinct fixed-length part numbers shaped like AB123-456C7D8. One
+// length and a minimum distance around 5 leave only the class and count
+// gates to prune: the column shape that carries most MPD time on
+// Enterprise tables, unlike the few distinct names of BM_MpdProfile.
+Column MakeCodeColumn(int64_t n) {
+  Rng rng(17);
+  const std::string letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  std::set<std::string> seen;
+  std::vector<std::string> cells;
+  while (static_cast<int64_t>(cells.size()) < n) {
+    std::string code;
+    for (const char shape : std::string("LLDDD-DDDLDLD")) {
+      if (shape == '-') {
+        code += '-';
+      } else if (shape == 'L') {
+        code += letters[rng.NextBounded(letters.size())];
+      } else {
+        code += static_cast<char>('0' + rng.NextBounded(10));
+      }
+    }
+    if (seen.insert(code).second) cells.push_back(std::move(code));
+  }
+  return Column("part_no", cells);
+}
+
+void BM_MpdProfileCodes(benchmark::State& state) {
+  const Column column = MakeCodeColumn(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeMpdProfile(column));
+  }
+}
+BENCHMARK(BM_MpdProfileCodes)->Arg(200)->Arg(400);
 
 void BM_UrProfile(benchmark::State& state) {
   Rng rng(9);

@@ -55,11 +55,12 @@ UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
 run_preset asan-ubsan
 ctest --preset asan-ubsan
 # Detector kernel equivalence: the encoded FR/UR/MPD kernels and the
-# prevalence memo against their string-keyed oracles, the candidate
-# split, the golden findings and the trained-model pin, under
+# prevalence memo against their string-keyed oracles, the MPD prefilter
+# kernel against its scalar twin, the reusable Myers pattern, the
+# candidate split, the golden findings and the trained-model pin, under
 # address+UB sanitizers (the encoding's copy/move lifetime test too).
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R 'FrEquivalence|UrEquivalence|PrevalenceEquivalence|MpdEquivalence|ColumnEncoding|Candidate|FindingJsonGolden|TrainedModelPin'
+  -R 'FrEquivalence|UrEquivalence|PrevalenceEquivalence|MpdEquivalence|SimdMpd|MyersPattern|ColumnEncoding|Candidate|FindingJsonGolden|TrainedModelPin'
 
 run_preset tsan
 ctest --preset tsan

@@ -25,43 +25,46 @@ size_t EditDistance(std::string_view a, std::string_view b) {
   return row[n];
 }
 
-namespace {
-
-// Myers' bit-parallel Levenshtein scan (Hyyrö's formulation). Pattern `a`
-// must fit one machine word (|a| <= 64); runs in |b| word operations,
-// independent of the distance. Returns the exact distance.
-size_t MyersEditDistance(std::string_view a, std::string_view b,
-                         uint64_t peq[256]) {
-  const size_t n = a.size();
-  for (const char c : a) {
-    peq[static_cast<unsigned char>(c)] = 0;  // defensive: table must be clean
+void MyersPattern::Assign(std::string_view pattern) {
+  for (size_t i = 0; i < size_; ++i) peq_[bytes_[i]] = 0;
+  size_ = pattern.size();
+  for (size_t i = 0; i < size_; ++i) {
+    bytes_[i] = static_cast<unsigned char>(pattern[i]);
+    peq_[bytes_[i]] |= uint64_t{1} << i;
   }
-  for (size_t i = 0; i < n; ++i) {
-    peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
-  }
+}
 
-  const uint64_t mask = uint64_t{1} << (n - 1);
+size_t MyersPattern::BoundedDistance(std::string_view text,
+                                     size_t bound) const {
+  const size_t n = size_;
+  const size_t m = text.size();
+  if ((n > m ? n - m : m - n) > bound) return bound + 1;
+  if (n == 0) return m;
+
+  // `score` is the distance from the whole pattern to the text prefix
+  // read so far; each further text byte moves it by at most one, so once
+  // it exceeds bound + (bytes left) the final distance exceeds bound.
+  const uint64_t last = uint64_t{1} << (n - 1);
   uint64_t vp = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
   uint64_t vn = 0;
   size_t score = n;
-  for (const char c : b) {
-    const uint64_t pm = peq[static_cast<unsigned char>(c)];
+  size_t remaining = m;
+  for (const char c : text) {
+    const uint64_t pm = peq_[static_cast<unsigned char>(c)];
     const uint64_t d0 = (((pm & vp) + vp) ^ vp) | pm | vn;
     uint64_t hp = vn | ~(d0 | vp);
     uint64_t hn = vp & d0;
-    if (hp & mask) ++score;
-    if (hn & mask) --score;
+    if (hp & last) ++score;
+    if (hn & last) --score;
     hp = (hp << 1) | 1;
     hn <<= 1;
     vp = hn | ~(d0 | hp);
     vn = hp & d0;
+    --remaining;
+    if (score > remaining && score - remaining > bound) return bound + 1;
   }
-
-  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
   return score;
 }
-
-}  // namespace
 
 size_t BoundedEditDistance(std::string_view a, std::string_view b,
                            size_t bound, EditDistanceScratch* scratch) {
@@ -71,9 +74,9 @@ size_t BoundedEditDistance(std::string_view a, std::string_view b,
   if (m - n > bound) return bound + 1;
   if (n == 0) return m;
 
-  if (n <= 64) {
-    const size_t d = MyersEditDistance(a, b, scratch->peq);
-    return d <= bound ? d : bound + 1;
+  if (n <= MyersPattern::kMaxLength) {
+    scratch->pattern.Assign(a);
+    return scratch->pattern.BoundedDistance(b, bound);
   }
 
   const size_t kInf = bound + 1;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -172,6 +171,23 @@ ClosestPair FindClosestPair(const std::vector<DistinctValue>& values,
 // the reference scans. The best pair additionally tracks the
 // lexicographically-smallest (i, j) among ties, which is the pair the
 // reference's in-order strict-improvement scan selects.
+//
+// Which pairs can be skipped (ScanNeeds): a pair P at distance d is
+// never needed when d exceeds min(best.dist, cap) and the retained pairs
+// DOMINATE it: for every value v that P avoids, some retained pair at
+// distance <= d avoids v too. Then no choice of final endpoints makes P
+// the minimum avoiding one of them, and dominance is transitive through
+// later bucket replacements and dethrones (a replaced argmin is itself
+// dominated by its replacement plus the best pair). With B the best pair
+// (which avoids every v other than bi and bj, at a distance below d):
+//   P touches bi only: any retained pair avoiding bj at distance <= d
+//     completes the cover, i.e. the touch_i or the disjoint argmin;
+//   P touches bj only: symmetrically, touch_j or disjoint;
+//   P is disjoint: the disjoint argmin alone, or touch_i and touch_j
+//     together (touch_j avoids bi, touch_i avoids bj).
+// So each class needs exact distances only up to one below the
+// smallest such cover, and never below min(best.dist, cap) (ties with the
+// best decide the lexicographic rule).
 
 constexpr size_t kNoPair = std::numeric_limits<size_t>::max();
 
@@ -187,12 +203,24 @@ struct SinglePassResult {
   size_t excl_j = 0;  ///< min distance over pairs avoiding best.j (clamped)
 };
 
+// Value-index pairs (i < j), possibly repeated.
+using PairList = std::vector<std::pair<uint32_t, uint32_t>>;
+
 // 64-bit character-presence signature; folding via `c & 63` only merges
 // bits, which can weaken but never invalidate the derived lower bound.
 uint64_t CharSignature(std::string_view s) {
   uint64_t sig = 0;
   for (const char c : s) sig |= uint64_t{1} << (static_cast<unsigned char>(c) & 63);
   return sig;
+}
+
+// Per-class byte counts over the signature's `c & 63` classes, saturating
+// at 255: the input of the prefilter's count gate (util/simd.h).
+void CountHistogram(std::string_view s, uint8_t* hist) {
+  for (const char c : s) {
+    uint8_t& count = hist[static_cast<unsigned char>(c) & 63];
+    if (count < 255) ++count;
+  }
 }
 
 // Lower bound on the edit distance: every unit edit can eliminate at most
@@ -204,26 +232,18 @@ size_t SignatureLowerBound(uint64_t sa, uint64_t sb) {
   return std::max(a_only, b_only);
 }
 
+int32_t ClampToInt32(size_t v) {
+  return static_cast<int32_t>(
+      std::min(v, static_cast<size_t>(std::numeric_limits<int32_t>::max())));
+}
+
+// `distance_one` lists every distance-1 pair (DistanceOnePairs), or is
+// empty when there is none or it was not computed.
 SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
-                                       size_t cap) {
+                                       size_t cap,
+                                       const PairList& distance_one) {
   const size_t n = values.size();
   const size_t far = cap + 1;
-
-  std::vector<uint64_t> sig(n);
-  std::vector<size_t> len(n);
-  for (size_t v = 0; v < n; ++v) {
-    sig[v] = CharSignature(values[v].value);
-    len[v] = values[v].value.size();
-  }
-
-  // Length-sorted processing: similar-length pairs (the likely close ones)
-  // are scanned first, so the adaptive thresholds collapse early and the
-  // length-gap prefilter can break out of the inner loop.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return len[a] != len[b] ? len[a] < len[b] : a < b;
-  });
 
   // When no pair is within cap, every pair clamps to cap + 1 and the
   // reference scan reports the first pair it evaluated: seed the best
@@ -232,8 +252,6 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
   PairTracker touch_i{far};    // pairs sharing best.i only
   PairTracker touch_j{far};    // pairs sharing best.j only
   PairTracker disjoint{far};   // pairs avoiding both endpoints
-
-  EditDistanceScratch scratch;
 
   // Classifies (i, j, d) into the bucket it belongs to under the current
   // best and records it on improvement.
@@ -246,66 +264,129 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
     PairTracker& bucket = bucket_of(i, j);
     if (d < bucket.dist) bucket = {d, i, j};
   };
+  const auto result = [&] {
+    SinglePassResult out;
+    out.best = best;
+    out.excl_i = std::min(disjoint.dist, touch_j.dist);
+    out.excl_j = std::min(disjoint.dist, touch_i.dist);
+    return out;
+  };
 
-  // Materialize lengths and signatures in scan (length-sorted) order so
-  // the SIMD prefilter reads contiguous arrays. Lengths clamp to int32;
-  // clamping can only weaken the prefilter (admit extra candidates), and
-  // every survivor still goes through the exact per-pair gates below.
-  std::vector<int32_t> ord_len(n);
-  std::vector<uint64_t> ord_sig(n);
-  for (size_t p = 0; p < n; ++p) {
-    ord_len[p] = static_cast<int32_t>(std::min(
-        len[order[p]], static_cast<size_t>(std::numeric_limits<int32_t>::max())));
-    ord_sig[p] = sig[order[p]];
+  // Known distance-1 pairs settle the best pair up front: values are
+  // distinct, so 1 is the minimum, and the lexicographically smallest
+  // distance-1 pair is the reference's pick. Every other pair is offered
+  // to the buckets as if already scanned. No later pair can dethrone
+  // this best, so the invariant holds from here on; when pairs avoiding
+  // each endpoint are among them, both exclusion minima are 1 already.
+  if (!distance_one.empty()) {
+    const auto [i, j] = *std::min_element(distance_one.begin(),
+                                          distance_one.end());
+    best = {1, i, j};
+    for (const auto& [p, q] : distance_one) {
+      if (p != i || q != j) offer_to_bucket(p, q, 1);
+    }
+    const SinglePassResult seeded = result();
+    if (seeded.excl_i == 1 && seeded.excl_j == 1) return seeded;
   }
 
-  const auto trackers_relevant = [&] {
-    // Largest distance any tracker still cares about: the best tracker
-    // needs exact values up to its current distance (ties included,
-    // for the lexicographic rule), the buckets up to one below theirs.
-    const size_t bucket_cap =
-        std::max({touch_i.dist, touch_j.dist, disjoint.dist});
-    return std::max(std::min(best.dist, cap),
-                    bucket_cap == 0 ? size_t{0} : bucket_cap - 1);
+  // Length-sorted processing: similar-length pairs (the likely close ones)
+  // are scanned first, so the adaptive thresholds collapse early and the
+  // length-gap prefilter can break out of the inner loop. The shorter (or
+  // equal) value of every scanned pair is the probe value `va`.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const size_t la = values[a].value.size();
+    const size_t lb = values[b].value.size();
+    return la != lb ? la < lb : a < b;
+  });
+
+  // Lengths, signatures and count histograms in scan (length-sorted)
+  // order so the SIMD prefilter reads contiguous arrays. Lengths clamp to
+  // int32; clamping can only weaken the prefilter (admit extra
+  // candidates), and every survivor still goes through the exact
+  // per-pair gates below.
+  constexpr size_t kHist = simd::kMpdHistBytes;
+  std::vector<int32_t> ord_len(n);
+  std::vector<uint64_t> ord_sig(n);
+  std::vector<uint8_t> ord_hist(n * kHist, 0);
+  for (size_t p = 0; p < n; ++p) {
+    const std::string_view v = values[order[p]].value;
+    ord_len[p] = ClampToInt32(v.size());
+    ord_sig[p] = CharSignature(v);
+    CountHistogram(v, ord_hist.data() + p * kHist);
+  }
+
+  // Per-class `need` (the skipping rule at the top of this section): the
+  // largest distance at which a pair of that class can still change the
+  // result. `any` is the largest of the three.
+  struct ScanNeeds {
+    size_t touch_i;
+    size_t touch_j;
+    size_t disjoint;
+    size_t any;
   };
+  const auto needs = [&] {
+    const size_t floor = std::min(best.dist, cap);
+    const auto below = [&](size_t cover) {
+      return std::max(floor, cover == 0 ? size_t{0} : cover - 1);
+    };
+    ScanNeeds out;
+    out.touch_i = below(std::min(touch_i.dist, disjoint.dist));
+    out.touch_j = below(std::min(touch_j.dist, disjoint.dist));
+    out.disjoint =
+        below(std::min(disjoint.dist, std::max(touch_i.dist, touch_j.dist)));
+    out.any = std::max({out.touch_i, out.touch_j, out.disjoint});
+    return out;
+  };
+
+  // scratch.pattern holds va when it fits one word; longer values take
+  // BoundedEditDistance's banded path, which leaves the pattern alone.
+  EditDistanceScratch scratch;
 
   for (size_t a = 0; a < n; ++a) {
     const size_t va = order[a];
+    const std::string_view value_a = values[va].value;
     const int32_t len_a = ord_len[a];
     const uint64_t sig_a = ord_sig[a];
+    const uint8_t* hist_a = ord_hist.data() + a * kHist;
+    const bool bit_parallel = value_a.size() <= MyersPattern::kMaxLength;
+    if (bit_parallel) scratch.pattern.Assign(value_a);
     bool done_a = false;
     size_t b = a + 1;
     // Candidates are masked 64 at a time through the SIMD length/
-    // signature gates at the chunk-entry `relevant` bound, then only
-    // survivors run the exact scalar per-pair logic. Sound because
-    // `relevant` is non-increasing while no dethrone happens (buckets
-    // only shrink), so a chunk-entry bound over-approximates every
-    // later per-pair `need` in the chunk: masked-out pairs are exactly
-    // pairs the sequential scan would have skipped anyway. A dethrone
-    // resets the buckets (the bound can jump back up), so the rest of
-    // the chunk is re-masked from the pair after it.
+    // signature/count gates at a chunk-entry bound, then only survivors
+    // run the exact scalar per-pair logic. Sound because every need is
+    // non-increasing while no dethrone happens (buckets only shrink), so
+    // a chunk-entry bound over-approximates every later per-pair `need`
+    // in the chunk: masked-out pairs are exactly pairs the sequential
+    // scan would have skipped anyway. While va is an endpoint of the
+    // best pair, every candidate pair touches that endpoint, so the
+    // bound is that class's need. A dethrone resets the buckets (the
+    // bound can jump back up), so the rest of the chunk is re-masked
+    // from the pair after it.
     while (b < n && !done_a) {
-      const size_t relevant_entry = trackers_relevant();
-      if (static_cast<size_t>(ord_len[b] - len_a) > relevant_entry) {
+      const ScanNeeds entry = needs();
+      if (static_cast<size_t>(ord_len[b] - len_a) > entry.any) {
         break;  // later b's are even longer
       }
       const size_t chunk = std::min<size_t>(64, n - b);
-      const int32_t bound = static_cast<int32_t>(std::min(
-          relevant_entry,
-          static_cast<size_t>(std::numeric_limits<int32_t>::max())));
-      uint64_t mask = simd::MpdPrefilterMask(ord_len.data() + b,
-                                             ord_sig.data() + b, chunk, len_a,
-                                             sig_a, bound);
+      const size_t mask_bound = va == best.i   ? entry.touch_i
+                                : va == best.j ? entry.touch_j
+                                               : entry.any;
+      uint64_t mask = simd::MpdPrefilterMask(
+          ord_len.data() + b, ord_sig.data() + b, ord_hist.data() + b * kHist,
+          chunk, len_a, sig_a, hist_a, ClampToInt32(mask_bound));
       size_t next_b = b + chunk;
       while (mask != 0) {
         const size_t bidx = b + static_cast<size_t>(std::countr_zero(mask));
         mask &= mask - 1;
         const size_t vb = order[bidx];
-        const size_t relevant = trackers_relevant();
-        const size_t gap = len[vb] - len[va];
-        if (gap > relevant) {
+        const ScanNeeds now = needs();
+        const size_t gap = static_cast<size_t>(ord_len[bidx] - len_a);
+        if (gap > now.any) {
           // Skipped candidates between survivors never update trackers,
-          // so `relevant` is unchanged since the previous evaluation and
+          // so the needs are unchanged since the previous evaluation and
           // gap is non-decreasing: the sequential scan would have broken
           // at or before this pair.
           done_a = true;
@@ -314,15 +395,20 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
 
         const size_t i = std::min(va, vb);
         const size_t j = std::max(va, vb);
-        PairTracker& bucket = bucket_of(i, j);
+        const bool on_i = i == best.i || j == best.i;
+        const bool on_j = i == best.j || j == best.j;
+        // A best pair seeded from `distance_one` is already scored.
+        if (on_i && on_j && best.dist <= cap) continue;
         const size_t need =
-            std::max(std::min(best.dist, cap),
-                     bucket.dist == 0 ? size_t{0} : bucket.dist - 1);
+            on_i ? now.touch_i : (on_j ? now.touch_j : now.disjoint);
         if (gap > need) continue;
-        if (SignatureLowerBound(sig[va], sig[vb]) > need) continue;
+        if (SignatureLowerBound(sig_a, ord_sig[bidx]) > need) continue;
 
-        const size_t d = BoundedEditDistance(values[va].value,
-                                             values[vb].value, need, &scratch);
+        const std::string_view value_b = values[vb].value;
+        const size_t d =
+            bit_parallel
+                ? scratch.pattern.BoundedDistance(value_b, need)
+                : BoundedEditDistance(value_a, value_b, need, &scratch);
         if (d > need) continue;  // beyond every tracker's interest
 
         if (d < best.dist ||
@@ -350,16 +436,11 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
       b = next_b;
     }
   }
-
-  SinglePassResult out;
-  out.best = best;
-  out.excl_i = std::min(disjoint.dist, touch_j.dist);
-  out.excl_j = std::min(disjoint.dist, touch_i.dist);
-  return out;
+  return result();
 }
 
 // ---------------------------------------------------------------------------
-// Exact distance-1 fast path.
+// Exact distance-1 pairs.
 //
 // Two distinct strings are at edit distance 1 exactly when
 //   (a) they have equal length and differ in one position k, so they
@@ -376,8 +457,9 @@ SinglePassResult SinglePassClosestPair(const std::vector<DistinctValue>& values,
 // When a distance-1 pair exists, it is the minimum (values are distinct),
 // the closest pair is the lexicographically smallest distance-1 (i, j),
 // and each perturbed MPD is 1 iff some distance-1 pair avoids that
-// endpoint. If both exist the profile is settled without a pair scan;
-// otherwise the caller runs the full scan (an exclusion minimum above 1
+// endpoint. SinglePassClosestPair starts from these pairs: if both
+// endpoints are avoided the profile is settled without a pair scan;
+// otherwise the scan runs from best = 1 (an exclusion minimum above 1
 // still needs it).
 
 constexpr int32_t kWholeValue = -1;  // the value itself, no deletion
@@ -413,8 +495,7 @@ bool IsDistanceOneWitness(const std::vector<DistinctValue>& values,
   return true;
 }
 
-std::optional<SinglePassResult> DistanceOneFastPath(
-    const std::vector<DistinctValue>& values) {
+PairList DistanceOnePairs(const std::vector<DistinctValue>& values) {
   // Polynomial hash over bytes + 1 (so NUL bytes still move the hash).
   constexpr uint64_t kBase = 0x100000001b3ULL;
   size_t num_variants = 0;
@@ -429,7 +510,7 @@ std::optional<SinglePassResult> DistanceOneFastPath(
   const int slot_shift = 64 - std::countr_zero(slots);
   std::vector<uint32_t> head(slots, kNoVariant);
   std::vector<uint32_t> next(num_variants, kNoVariant);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  PairList pairs;
   const auto insert = [&](const DeletionVariant& variant) {
     const auto self = static_cast<uint32_t>(variants.size());
     variants.push_back(variant);
@@ -475,21 +556,7 @@ std::optional<SinglePassResult> DistanceOneFastPath(
               static_cast<int32_t>(k)});
     }
   }
-  if (pairs.empty()) return std::nullopt;
-
-  const auto [i, j] = *std::min_element(pairs.begin(), pairs.end());
-  bool avoids_i = false;
-  bool avoids_j = false;
-  for (const auto& [p, q] : pairs) {
-    avoids_i = avoids_i || (p != i && q != i);
-    avoids_j = avoids_j || (p != j && q != j);
-  }
-  if (!avoids_i || !avoids_j) return std::nullopt;
-  SinglePassResult out;
-  out.best = {1, i, j};
-  out.excl_i = 1;
-  out.excl_j = 1;
-  return out;
+  return pairs;
 }
 
 double AvgDifferingTokenLength(std::string_view a, std::string_view b) {
@@ -540,10 +607,9 @@ MpdProfile ComputeMpdProfile(const Column& column, const MpdOptions& options) {
       CollectDistinctValues(column, options);
   if (values.size() < 3) return out;
 
-  std::optional<SinglePassResult> fast;
-  if (options.distance_cap >= 1) fast = DistanceOneFastPath(values);
-  const SinglePassResult found =
-      fast ? *fast : SinglePassClosestPair(values, options.distance_cap);
+  const SinglePassResult found = SinglePassClosestPair(
+      values, options.distance_cap,
+      options.distance_cap >= 1 ? DistanceOnePairs(values) : PairList{});
 
   out.valid = true;
   out.mpd = std::min(found.best.dist, options.distance_cap + 1);

@@ -194,23 +194,50 @@ ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
 }
 
 namespace {
+
 size_t PopcountLowerBound(uint64_t sig_a, uint64_t sig_b) {
   const auto a_only = static_cast<size_t>(std::popcount(sig_a & ~sig_b));
   const auto b_only = static_cast<size_t>(std::popcount(sig_b & ~sig_a));
   return a_only > b_only ? a_only : b_only;
 }
+
+bool LengthOrClassGateFails(int32_t len, uint64_t sig, int32_t len_a,
+                            uint64_t sig_a, int32_t bound) {
+  return len - len_a > bound ||
+         static_cast<int64_t>(PopcountLowerBound(sig_a, sig)) >
+             static_cast<int64_t>(bound);
+}
+
+// The count gate given the histograms' L1 distance.
+bool CountGateFails(uint64_t l1, int32_t len, int32_t len_a, int32_t bound) {
+  const int64_t gap = static_cast<int64_t>(len) - len_a;
+  const auto abs_gap = static_cast<uint64_t>(gap < 0 ? -gap : gap);
+  return static_cast<int64_t>((l1 + abs_gap) / 2) > static_cast<int64_t>(bound);
+}
+
+uint64_t HistogramL1Scalar(const uint8_t* a, const uint8_t* b) {
+  // Written so compilers recognise the sum-of-absolute-differences idiom.
+  uint32_t l1 = 0;
+  for (size_t k = 0; k < kMpdHistBytes; ++k) {
+    l1 += static_cast<uint32_t>(std::abs(static_cast<int>(a[k]) -
+                                         static_cast<int>(b[k])));
+  }
+  return l1;
+}
+
 }  // namespace
 
 uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint64_t* sigs,
-                                size_t count, int32_t len_a, uint64_t sig_a,
-                                int32_t bound) {
+                                const uint8_t* hists, size_t count,
+                                int32_t len_a, uint64_t sig_a,
+                                const uint8_t* hist_a, int32_t bound) {
   uint64_t mask = 0;
   for (size_t i = 0; i < count; ++i) {
-    if (lengths[i] - len_a > bound) continue;
-    if (static_cast<int64_t>(PopcountLowerBound(sig_a, sigs[i])) >
-        static_cast<int64_t>(bound)) {
+    if (LengthOrClassGateFails(lengths[i], sigs[i], len_a, sig_a, bound)) {
       continue;
     }
+    const uint64_t l1 = HistogramL1Scalar(hist_a, hists + i * kMpdHistBytes);
+    if (CountGateFails(l1, lengths[i], len_a, bound)) continue;
     mask |= uint64_t{1} << i;
   }
   return mask;
@@ -381,13 +408,65 @@ __attribute__((target("avx2"))) inline __m256i Popcount64Lanes(__m256i x) {
   return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
 }
 
+// |a - b| of one candidate's kMpdHistBytes-byte histogram against the
+// probe's (a_lo, a_hi): two _mm256_sad_epu8 leave per-8-byte sums, added
+// into four u64 lanes whose total is the L1 distance.
+__attribute__((target("avx2"))) inline __m256i HistogramSadLanes(
+    __m256i a_lo, __m256i a_hi, const uint8_t* b) {
+  // Trusted in-memory histogram array; b points at a full
+  // kMpdHistBytes-byte (two 32-byte lanes) histogram.
+  const __m256i b_lo = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(b));  // NOLINT(unsafe-bytes)
+  const __m256i b_hi = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(b + 32));  // NOLINT(unsafe-bytes)
+  return _mm256_add_epi64(_mm256_sad_epu8(a_lo, b_lo),
+                          _mm256_sad_epu8(a_hi, b_hi));
+}
+
+// Count-gate failures of the four candidates at hists / lengths as bits
+// 0..3, without branches: the four SAD lane vectors are transposed and
+// summed so lane k holds candidate k's L1, then L1 + |gap| is compared
+// with 2 * bound + 1, which equals (L1 + |gap|) / 2 > bound on integers.
+__attribute__((target("avx2"))) inline unsigned CountGateFail4(
+    __m256i a_lo, __m256i a_hi, const uint8_t* hists, const int32_t* lengths,
+    __m128i vlen_a, __m256i vlimit) {
+  const __m256i c0 = HistogramSadLanes(a_lo, a_hi, hists);
+  const __m256i c1 = HistogramSadLanes(a_lo, a_hi, hists + kMpdHistBytes);
+  const __m256i c2 = HistogramSadLanes(a_lo, a_hi, hists + 2 * kMpdHistBytes);
+  const __m256i c3 = HistogramSadLanes(a_lo, a_hi, hists + 3 * kMpdHistBytes);
+  const __m256i c01 = _mm256_add_epi64(_mm256_unpacklo_epi64(c0, c1),
+                                       _mm256_unpackhi_epi64(c0, c1));
+  const __m256i c23 = _mm256_add_epi64(_mm256_unpacklo_epi64(c2, c3),
+                                       _mm256_unpackhi_epi64(c2, c3));
+  const __m256i l1 =
+      _mm256_add_epi64(_mm256_permute2x128_si256(c01, c23, 0x20),
+                       _mm256_permute2x128_si256(c01, c23, 0x31));
+  // Trusted in-memory length array; four int32 lengths at `lengths`.
+  const __m128i len = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(lengths));  // NOLINT(unsafe-bytes)
+  // |gap| <= INT32_MAX: both lengths are non-negative int32.
+  const __m256i abs_gap =
+      _mm256_cvtepu32_epi64(_mm_abs_epi32(_mm_sub_epi32(len, vlen_a)));
+  const __m256i fail =
+      _mm256_cmpgt_epi64(_mm256_add_epi64(l1, abs_gap), vlimit);
+  return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(fail)));
+}
+
 __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
-    const int32_t* lengths, const uint64_t* sigs, size_t count, int32_t len_a,
-    uint64_t sig_a, int32_t bound) {
+    const int32_t* lengths, const uint64_t* sigs, const uint8_t* hists,
+    size_t count, int32_t len_a, uint64_t sig_a, const uint8_t* hist_a,
+    int32_t bound) {
   const __m256i vlen_a = _mm256_set1_epi32(len_a);
   const __m256i vbound32 = _mm256_set1_epi32(bound);
   const __m256i vsig_a = _mm256_set1_epi64x(static_cast<int64_t>(sig_a));
   const __m256i vbound64 = _mm256_set1_epi64x(bound);
+  const __m256i vlimit =
+      _mm256_set1_epi64x(2 * static_cast<int64_t>(bound) + 1);
+  // Trusted in-memory probe histogram of kMpdHistBytes bytes.
+  const __m256i hist_a_lo = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(hist_a));  // NOLINT(unsafe-bytes)
+  const __m256i hist_a_hi = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(hist_a + 32));  // NOLINT(unsafe-bytes)
 
   uint64_t mask = 0;
   size_t i = 0;
@@ -401,6 +480,7 @@ __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
         _mm256_castsi256_ps(_mm256_cmpgt_epi32(gap, vbound32))));
 
     unsigned sig_fail = 0;
+    unsigned count_fail = 0;
     for (size_t half = 0; half < 2; ++half) {
       // Trusted in-memory signature array; i + half * 4 + 4 <= count
       // u64 signatures by the outer loop bound.
@@ -415,16 +495,21 @@ __attribute__((target("avx2"))) uint64_t MpdPrefilterMaskAvx2(
       sig_fail |= static_cast<unsigned>(
                       _mm256_movemask_pd(_mm256_castsi256_pd(fail)))
                   << (half * 4);
+      const size_t first = i + half * 4;
+      count_fail |= CountGateFail4(hist_a_lo, hist_a_hi,
+                                   hists + first * kMpdHistBytes,
+                                   lengths + first,
+                                   _mm256_castsi256_si128(vlen_a), vlimit)
+                    << (half * 4);
     }
-    mask |= static_cast<uint64_t>(~(len_fail | sig_fail) & 0xffu) << i;
+    mask |= static_cast<uint64_t>(~(len_fail | sig_fail | count_fail) & 0xffu)
+            << i;
   }
-  for (; i < count; ++i) {
-    if (lengths[i] - len_a > bound) continue;
-    if (static_cast<int64_t>(PopcountLowerBound(sig_a, sigs[i])) >
-        static_cast<int64_t>(bound)) {
-      continue;
-    }
-    mask |= uint64_t{1} << i;
+  if (i < count) {
+    mask |= MpdPrefilterMaskScalar(lengths + i, sigs + i,
+                                   hists + i * kMpdHistBytes, count - i,
+                                   len_a, sig_a, hist_a, bound)
+            << i;
   }
   return mask;
 }
@@ -538,14 +623,17 @@ ArgMaxResult ArgMaxAbsDeviation(const double* v, size_t n, double center,
 }
 
 uint64_t MpdPrefilterMask(const int32_t* lengths, const uint64_t* sigs,
-                          size_t count, int32_t len_a, uint64_t sig_a,
+                          const uint8_t* hists, size_t count, int32_t len_a,
+                          uint64_t sig_a, const uint8_t* hist_a,
                           int32_t bound) {
 #if defined(UNIDETECT_SIMD_X86)
   if (Level() == SimdLevel::kAvx2) {
-    return MpdPrefilterMaskAvx2(lengths, sigs, count, len_a, sig_a, bound);
+    return MpdPrefilterMaskAvx2(lengths, sigs, hists, count, len_a, sig_a,
+                                hist_a, bound);
   }
 #endif
-  return MpdPrefilterMaskScalar(lengths, sigs, count, len_a, sig_a, bound);
+  return MpdPrefilterMaskScalar(lengths, sigs, hists, count, len_a, sig_a,
+                                hist_a, bound);
 }
 
 }  // namespace simd

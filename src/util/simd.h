@@ -87,11 +87,10 @@ ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
                                       double center, double denom);
 
 // ---------------------------------------------------------------------------
-// MPD prefilter kernel (the Myers edit-distance length / character-class
-// gates).
+// MPD prefilter kernel (the Myers edit-distance length / character gates).
 //
 // For up to 64 candidate values, decides in one pass which candidates
-// survive both cheap lower bounds against a probe value `a`:
+// survive three cheap lower bounds against a probe value `a`:
 //
 //   lengths[i] - len_a       <= bound   (length gap; candidates are
 //                                        scanned in ascending length, so
@@ -101,17 +100,37 @@ ArgMaxResult ArgMaxAbsDeviationScalar(const double* v, size_t n,
 //                                        every unit edit fixes at most
 //                                        one class present on one side
 //                                        only)
+//   (L1(hist_a, hists[i]) + |lengths[i] - len_a|) / 2 <= bound
+//                                       (character-count bound; see
+//                                        below)
 //
-// Bit i of the result is set iff candidate i survives both gates. The
-// count reduction is per-lane exact integer work, so the vector and
+// Signatures and histograms fold each byte c into class c & 63. A
+// histogram holds kMpdHistBytes u8 counts, one per class, saturating at
+// 255; candidate i's histogram is hists[i * kMpdHistBytes, ...). For the
+// true byte counts, with P = sum (ca - cb)+ and N = sum (cb - ca)+, every
+// unit edit lowers P or N by at most one, so max(P, N) bounds the edit
+// distance; L1 = P + N and |len_a - len_b| = |P - N| make the third gate
+// exactly max(P, N). Folding merges classes (triangle inequality) and
+// saturation is 1-Lipschitz per class, so both only shrink L1: they
+// weaken the bound but never break it.
+// Saturation can make the count gate weaker than the class gate (300
+// 'x' + "abcde" vs 305 'x'), which is why both are kept.
+//
+// Lengths are byte counts (non-negative int32). Bit i of the result is
+// set iff candidate i survives all three gates.
+// Every gate is per-candidate exact integer work, so the vector and
 // scalar masks are identical bit for bit.
 
+inline constexpr size_t kMpdHistBytes = 64;
+
 uint64_t MpdPrefilterMask(const int32_t* lengths, const uint64_t* sigs,
-                          size_t count, int32_t len_a, uint64_t sig_a,
+                          const uint8_t* hists, size_t count, int32_t len_a,
+                          uint64_t sig_a, const uint8_t* hist_a,
                           int32_t bound);
 uint64_t MpdPrefilterMaskScalar(const int32_t* lengths, const uint64_t* sigs,
-                                size_t count, int32_t len_a, uint64_t sig_a,
-                                int32_t bound);
+                                const uint8_t* hists, size_t count,
+                                int32_t len_a, uint64_t sig_a,
+                                const uint8_t* hist_a, int32_t bound);
 
 // ---------------------------------------------------------------------------
 // IEEE 754 binary16 conversions (the f16 observation encoding).

@@ -87,5 +87,44 @@ TEST_P(EditDistancePropertyTest, BoundedMatchesFull) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EditDistancePropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+// A reused MyersPattern (as the MPD scan keeps one per probe value) must
+// give every text the exact bounded distance, with patterns reassigned
+// in between: longer to shorter, sharing and not sharing bytes, up to the
+// 64-byte word, and bytes >= 128.
+TEST(MyersPatternTest, ReusedPatternMatchesFullDistance) {
+  Rng rng(0x3E75);
+  MyersPattern pattern;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string p = rng.AlphaString(rng.NextBounded(65));
+    if (trial % 7 == 0 && !p.empty()) p[0] = static_cast<char>(0xE9);
+    pattern.Assign(p);
+    for (int t = 0; t < 8; ++t) {
+      std::string text = p;
+      for (size_t e = 0, k = rng.NextBounded(8); e < k && !text.empty(); ++e) {
+        text[rng.NextBounded(text.size())] =
+            static_cast<char>('a' + rng.NextBounded(26));
+      }
+      text += rng.AlphaString(rng.NextBounded(4));
+      const size_t full = EditDistance(p, text);
+      for (size_t bound : {size_t{0}, size_t{2}, size_t{5}, size_t{64}}) {
+        EXPECT_EQ(pattern.BoundedDistance(text, bound),
+                  full <= bound ? full : bound + 1)
+            << p << " vs " << text << " bound " << bound;
+      }
+    }
+  }
+}
+
+TEST(MyersPatternTest, ReassignClearsThePreviousPattern) {
+  MyersPattern pattern;
+  pattern.Assign("abcabc");
+  pattern.Assign("xy");
+  EXPECT_EQ(pattern.BoundedDistance("ab", 5), 2u);
+  EXPECT_EQ(pattern.BoundedDistance("xy", 5), 0u);
+  pattern.Assign("");
+  EXPECT_EQ(pattern.BoundedDistance("abc", 5), 3u);
+  EXPECT_EQ(pattern.BoundedDistance("abc", 2), 3u);
+}
+
 }  // namespace
 }  // namespace unidetect

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -453,6 +454,172 @@ TEST(MpdEquivalenceTest, MaxValuesCutoffBoundsTheFastPath) {
     options.max_values = max_values;
     ExpectSameMpdProfileSimdOnOff(
         column, options, "max_values=" + std::to_string(max_values));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Oracles at scale: 65-400 distinct values, so the scan spans several
+// 64-candidate prefilter chunks and dethrones mid-chunk, with the SIMD
+// prefilter on and off and caps 2 and 20. Each shape targets one of the
+// scan's lower bounds or seeds.
+
+// `count` distinct cells from `make`, in generation order.
+template <typename Make>
+std::vector<std::string> DistinctCells(size_t count, Make make) {
+  std::vector<std::string> cells;
+  std::set<std::string> seen;
+  while (cells.size() < count) {
+    std::string v = make();
+    if (seen.insert(v).second) cells.push_back(std::move(v));
+  }
+  return cells;
+}
+
+void ExpectOracleAtScale(const std::vector<std::string>& cells,
+                         const std::string& context) {
+  const Column column("c", cells);
+  ASSERT_TRUE(ComputeMpdProfileReference(column, MpdOptions{}).valid)
+      << context;
+  for (size_t cap : {size_t{2}, size_t{20}}) {
+    MpdOptions options;
+    options.distance_cap = cap;
+    ExpectSameMpdProfileSimdOnOff(column, options,
+                                  context + " cap=" + std::to_string(cap));
+  }
+}
+
+// Copies `s` with `edits` random substitutions drawn from `alphabet`.
+std::string Mutate(Rng& rng, std::string s, size_t edits,
+                   const std::string& alphabet) {
+  for (size_t e = 0; e < edits && !s.empty(); ++e) {
+    s[rng.NextBounded(s.size())] = alphabet[rng.NextBounded(alphabet.size())];
+  }
+  return s;
+}
+
+TEST(MpdEquivalenceTest, FixedLengthCodesAtScale) {
+  // AB123-456C7D8-style part numbers: one length, so the length gate
+  // never fires and only the class and count gates prune. Seed 11 has
+  // independent codes only (minimum around 5, like real part numbers);
+  // the others add near copies two or more substitutions away.
+  const std::string letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  const std::string digits = "0123456789";
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    const size_t n = 65 + rng.NextBounded(336);
+    const auto code = [&] {
+      std::string s;
+      for (const char shape : std::string("LLDDD-DDDLDLD")) {
+        if (shape == '-') {
+          s += '-';
+        } else {
+          const std::string& from = shape == 'L' ? letters : digits;
+          s += from[rng.NextBounded(from.size())];
+        }
+      }
+      return s;
+    };
+    std::vector<std::string> made;
+    const std::vector<std::string> cells = DistinctCells(n, [&] {
+      if (seed != 11 && !made.empty() && rng.NextBounded(8) == 0) {
+        return Mutate(rng, rng.Pick(made), 2 + rng.NextBounded(5),
+                      letters + digits);
+      }
+      made.push_back(code());
+      return made.back();
+    });
+    ExpectOracleAtScale(cells, "codes seed=" + std::to_string(seed));
+  }
+}
+
+TEST(MpdEquivalenceTest, FoldedByteClassesAtScale) {
+  // Bytes that share a `c & 63` class ('@' and '\0', 'A' and 0x01, bytes
+  // >= 128): the signature and count gates see one class where the edit
+  // distance sees several.
+  const std::string alphabet = std::string("@A\x01\xC0\xC1\x80xy", 8) +
+                               std::string(1, '\0');
+  for (uint64_t seed : {21u, 22u}) {
+    Rng rng(seed);
+    const size_t n = 65 + rng.NextBounded(200);
+    const std::vector<std::string> cells = DistinctCells(n, [&] {
+      std::string s = "k";  // never numeric, never all-blank
+      const size_t len = 6 + rng.NextBounded(4);
+      for (size_t t = 0; t < len; ++t) {
+        s += alphabet[rng.NextBounded(alphabet.size())];
+      }
+      return s;
+    });
+    ExpectOracleAtScale(cells, "folded seed=" + std::to_string(seed));
+  }
+}
+
+TEST(MpdEquivalenceTest, SaturatedRunsAtScale) {
+  // Runs of more than 255 of one byte saturate its count, so the count
+  // gate is weaker than the class gate on these pairs; run lengths step
+  // by 3 and tails are 4 bytes, so most close pairs sit at 2 or more.
+  const std::string tails = "abcdexyz";
+  Rng rng(31);
+  const std::vector<std::string> cells = DistinctCells(70, [&] {
+    std::string s(300 + 3 * rng.NextBounded(10),
+                  rng.NextBounded(2) ? 'x' : 'y');
+    for (size_t t = 0; t < 4; ++t) s += tails[rng.NextBounded(tails.size())];
+    return s;
+  });
+  ExpectOracleAtScale(cells, "saturated");
+  // The closest pair straddles 256 copies of one byte, where a count
+  // that wrapped instead of saturating would read 0 against 254.
+  std::vector<std::string> straddle = {std::string(254, 'x') + "ab",
+                                       std::string(256, 'x') + "ab"};
+  while (straddle.size() < 68) straddle.push_back("far" + rng.AlphaString(12));
+  ExpectOracleAtScale(straddle, "straddle");
+}
+
+TEST(MpdEquivalenceTest, LongValuesAtScale) {
+  // Values longer than 64 bytes take the banded path as the probe value;
+  // short ones mixed in keep the bit-parallel probe next to them.
+  const std::string alphabet = "abcdefgh ";
+  Rng rng(41);
+  std::vector<std::string> stems;
+  for (int s = 0; s < 8; ++s) {
+    std::string stem;
+    for (size_t t = 0; t < 60 + rng.NextBounded(30); ++t) {
+      stem += alphabet[rng.NextBounded(alphabet.size())];
+    }
+    stems.push_back(std::move(stem));
+  }
+  const std::vector<std::string> cells = DistinctCells(90, [&] {
+    if (rng.NextBounded(5) == 0) return "v" + rng.AlphaString(5);
+    return Mutate(rng, rng.Pick(stems), 3 + rng.NextBounded(3), alphabet);
+  });
+  ExpectOracleAtScale(cells, "long");
+}
+
+TEST(MpdEquivalenceTest, StarDistanceOneAtScale) {
+  // Every distance-1 pair touches one hub (spokes substitute different
+  // positions, so they are pairwise distance 2): the scan starts from
+  // the distance-1 pairs with one endpoint never avoided. A second trial
+  // adds a second hub, where both endpoints are avoided and no scan runs.
+  for (int hubs : {1, 2}) {
+    Rng rng(51 + static_cast<uint64_t>(hubs));
+    std::vector<std::string> cells;
+    std::set<std::string> seen;
+    for (int h = 0; h < hubs; ++h) {
+      const std::string hub = "hub" + std::to_string(h) + "-" +
+                              rng.AlphaString(9);
+      seen.insert(hub);
+      cells.push_back(hub);
+      for (size_t k = 4; k < hub.size(); ++k) {
+        std::string spoke = hub;
+        spoke[k] = '#';
+        if (seen.insert(spoke).second) cells.push_back(spoke);
+      }
+    }
+    while (cells.size() < 150) {
+      std::string filler = "f" + rng.AlphaString(13);
+      if (seen.insert(filler).second) cells.push_back(std::move(filler));
+    }
+    rng.Shuffle(cells);
+    ExpectOracleAtScale(cells, "star hubs=" + std::to_string(hubs));
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "util/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -212,6 +213,48 @@ TEST(SimdArgMaxTest, NanSeedAndTieBreakCorners) {
 // ---------------------------------------------------------------------------
 // MPD prefilter kernel.
 
+// Copies of `base` with `moves` random counts each shifted by at most
+// `spread` (so the count gate sits near small bounds); counts saturate
+// like the real ones.
+std::vector<uint8_t> NearbyHistograms(Rng& rng,
+                                      const std::vector<uint8_t>& base,
+                                      size_t count, size_t moves,
+                                      uint32_t spread) {
+  std::vector<uint8_t> hists(count * kMpdHistBytes);
+  for (size_t i = 0; i < count; ++i) {
+    uint8_t* hist = hists.data() + i * kMpdHistBytes;
+    std::copy(base.begin(), base.end(), hist);
+    for (size_t m = 0; m < moves; ++m) {
+      uint8_t& h = hist[rng.NextBounded(kMpdHistBytes)];
+      const int moved = static_cast<int>(h) +
+                        static_cast<int>(rng.NextBounded(2 * spread + 1)) -
+                        static_cast<int>(spread);
+      h = static_cast<uint8_t>(std::clamp(moved, 0, 255));
+    }
+  }
+  return hists;
+}
+
+void ExpectMpdMaskMatchesScalar(const std::vector<int32_t>& lengths,
+                                const std::vector<uint64_t>& sigs,
+                                const std::vector<uint8_t>& hists,
+                                int32_t len_a, uint64_t sig_a,
+                                const std::vector<uint8_t>& hist_a,
+                                int32_t bound) {
+  const uint64_t want = MpdPrefilterMaskScalar(
+      lengths.data(), sigs.data(), hists.data(), lengths.size(), len_a, sig_a,
+      hist_a.data(), bound);
+  for (bool enabled : {true, false}) {
+    ScopedSimd scoped(enabled);
+    EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), hists.data(),
+                               lengths.size(), len_a, sig_a, hist_a.data(),
+                               bound),
+              want)
+        << "count=" << lengths.size() << " bound=" << bound
+        << " simd=" << enabled;
+  }
+}
+
 TEST(SimdMpdPrefilterTest, MatchesScalarOnRandomInputs) {
   Rng rng(0x3DD);
   for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{8},
@@ -219,38 +262,111 @@ TEST(SimdMpdPrefilterTest, MatchesScalarOnRandomInputs) {
     for (int trial = 0; trial < 50; ++trial) {
       const int32_t len_a = static_cast<int32_t>(rng.NextBounded(40));
       const uint64_t sig_a = rng.Next() & rng.Next();  // sparse-ish classes
+      std::vector<uint8_t> hist_a(kMpdHistBytes);
+      for (uint8_t& h : hist_a) h = static_cast<uint8_t>(rng.NextBounded(3));
       std::vector<int32_t> lengths(count);
       std::vector<uint64_t> sigs(count);
       for (size_t i = 0; i < count; ++i) {
-        lengths[i] = len_a + static_cast<int32_t>(rng.NextBounded(8));
+        // Mostly longer than the probe, as the scan orders them; a few
+        // shorter ones exercise the |gap| of the count gate.
+        lengths[i] = std::max(
+            0, len_a + static_cast<int32_t>(rng.NextBounded(10)) - 2);
         sigs[i] = rng.Next() & rng.Next();
       }
+      const std::vector<uint8_t> hists =
+          NearbyHistograms(rng, hist_a, count, rng.NextBounded(8), 1);
       const int32_t bound = static_cast<int32_t>(rng.NextBounded(6));
-      const uint64_t want = MpdPrefilterMaskScalar(
-          lengths.data(), sigs.data(), count, len_a, sig_a, bound);
-      for (bool enabled : {true, false}) {
-        ScopedSimd scoped(enabled);
-        EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), count, len_a,
-                                   sig_a, bound),
-                  want)
-            << "count=" << count << " bound=" << bound;
-      }
+      ExpectMpdMaskMatchesScalar(lengths, sigs, hists, len_a, sig_a, hist_a,
+                                 bound);
     }
   }
 }
 
 TEST(SimdMpdPrefilterTest, BoundaryBounds) {
-  // All-ones signatures and extreme bounds: mask must be all-pass /
-  // all-fail in lockstep with the scalar gates.
-  std::vector<int32_t> lengths = {3, 3, 4, 5, 6, 7, 8, 9, 10};
-  std::vector<uint64_t> sigs(lengths.size(), ~uint64_t{0});
-  for (int32_t bound : {0, 1, 64, 1 << 20}) {
-    const uint64_t want = MpdPrefilterMaskScalar(
-        lengths.data(), sigs.data(), lengths.size(), 3, 0, bound);
-    ScopedSimd on(true);
-    EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), lengths.size(), 3,
-                               0, bound),
-              want);
+  // All-ones candidate signatures, length gaps 0..7, bounds at each
+  // gate's edge. With all-zero histograms on both sides (L1 = 0) the
+  // count gate is no stronger than the length gate, so these cases test
+  // the class gate (exactly 64 against sig_a = 0, 0 against ~0) and the
+  // length gate. With every candidate class at 255 against 0, L1 = 16320
+  // and the count gate (L1 + gap) / 2 decides alone.
+  const std::vector<int32_t> lengths = {3, 3, 4, 5, 6, 7, 8, 9, 10};
+  const std::vector<uint64_t> sigs(lengths.size(), ~uint64_t{0});
+  const std::vector<uint8_t> hist_a(kMpdHistBytes, 0);
+  struct Case {
+    uint64_t sig_a;
+    uint8_t candidate_count;
+    int32_t bound;
+    uint64_t want;
+  };
+  constexpr uint64_t kAll = ~uint64_t{0};
+  for (const Case& c :
+       {Case{0, 0, 0, 0}, Case{0, 0, 1, 0}, Case{0, 0, 63, 0},
+        Case{0, 0, 64, 0x1FF}, Case{0, 0, 1 << 20, 0x1FF},
+        Case{kAll, 0, 0, 0x3}, Case{kAll, 0, 4, 0x3F}, Case{kAll, 0, 6, 0xFF},
+        Case{kAll, 0, 7, 0x1FF}, Case{0, 255, 0, 0}, Case{0, 255, 64, 0},
+        Case{0, 255, 8159, 0}, Case{0, 255, 8160, 0x7},
+        Case{0, 255, 8162, 0x7F}, Case{0, 255, 1 << 20, 0x1FF}}) {
+    const std::vector<uint8_t> hists(lengths.size() * kMpdHistBytes,
+                                     c.candidate_count);
+    EXPECT_EQ(MpdPrefilterMaskScalar(lengths.data(), sigs.data(), hists.data(),
+                                     lengths.size(), 3, c.sig_a, hist_a.data(),
+                                     c.bound),
+              c.want)
+        << "sig_a=" << c.sig_a << " counts=" << int{c.candidate_count}
+        << " bound=" << c.bound;
+    ExpectMpdMaskMatchesScalar(lengths, sigs, hists, 3, c.sig_a, hist_a,
+                               c.bound);
+  }
+}
+
+TEST(SimdMpdPrefilterTest, CountGateRejectsWhatTheClassGateAdmits) {
+  // "aaab" vs "abbb": same classes, so the class gate reads 0; the counts
+  // differ by 2 + 2 at equal length, so the count gate reads 2.
+  std::vector<uint8_t> hist_a(kMpdHistBytes, 0);
+  hist_a['a' & 63] = 3;
+  hist_a['b' & 63] = 1;
+  std::vector<uint8_t> hists(kMpdHistBytes, 0);
+  hists['a' & 63] = 1;
+  hists['b' & 63] = 3;
+  const uint64_t sig =
+      (uint64_t{1} << ('a' & 63)) | (uint64_t{1} << ('b' & 63));
+  const std::vector<int32_t> lengths = {4};
+  const std::vector<uint64_t> sigs = {sig};
+  for (bool enabled : {true, false}) {
+    ScopedSimd scoped(enabled);
+    for (int32_t bound : {0, 1, 2, 3}) {
+      EXPECT_EQ(MpdPrefilterMask(lengths.data(), sigs.data(), hists.data(), 1,
+                                 4, sig, hist_a.data(), bound),
+                bound >= 2 ? 1u : 0u)
+          << "bound=" << bound << " simd=" << enabled;
+    }
+  }
+}
+
+TEST(SimdMpdPrefilterTest, SaturatedCountsMatchScalar) {
+  // Counts pinned at or near 255 on both sides (runs of more than 255 of
+  // one byte), every chunk size, bounds straddling the count gate.
+  Rng rng(0x5A7);
+  for (size_t count : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{33}, size_t{64}}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<uint8_t> hist_a(kMpdHistBytes, 0);
+      for (size_t k = 0; k < 4; ++k) {
+        hist_a[rng.NextBounded(kMpdHistBytes)] =
+            static_cast<uint8_t>(250 + rng.NextBounded(6));
+      }
+      const int32_t len_a = 300 + static_cast<int32_t>(rng.NextBounded(700));
+      std::vector<int32_t> lengths(count);
+      std::vector<uint64_t> sigs(count, ~uint64_t{0});
+      for (size_t i = 0; i < count; ++i) {
+        lengths[i] = len_a + static_cast<int32_t>(rng.NextBounded(6));
+      }
+      const std::vector<uint8_t> hists =
+          NearbyHistograms(rng, hist_a, count, 8, 3);
+      const int32_t bound = static_cast<int32_t>(rng.NextBounded(130));
+      ExpectMpdMaskMatchesScalar(lengths, sigs, hists, len_a, ~uint64_t{0},
+                                 hist_a, bound);
+    }
   }
 }
 
