@@ -10,7 +10,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "corpus/corpus_io.h"
@@ -321,57 +320,12 @@ void BM_CorpusGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusGeneration)->Arg(500)->Unit(benchmark::kMillisecond);
 
-// Cold model load, binary snapshot vs legacy text: the artifact-tier
-// claim is that a service restart pays file size + checksum, not a
-// line-by-line parse. Both write once in setup and time Model::Load end
-// to end (read, sniff, decode).
-void BM_ModelLoadBinary(benchmark::State& state) {
-  const std::string path = "/tmp/unidetect_bench_binary.model";
-  if (!SharedModel().Save(path).ok()) {
-    state.SkipWithError("save failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto loaded = Model::Load(path);
-    if (!loaded.ok()) {
-      state.SkipWithError("load failed");
-      return;
-    }
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(ReadFileToString(path)->size()));
-}
-BENCHMARK(BM_ModelLoadBinary)->Unit(benchmark::kMillisecond);
-
-void BM_ModelLoadText(benchmark::State& state) {
-  const std::string path = "/tmp/unidetect_bench_text.model";
-  if (!WriteStringToFile(path, SharedModel().Serialize()).ok()) {
-    state.SkipWithError("save failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto loaded = Model::Load(path);
-    if (!loaded.ok()) {
-      state.SkipWithError("load failed");
-      return;
-    }
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(ReadFileToString(path)->size()));
-}
-BENCHMARK(BM_ModelLoadText)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------
-// UDSNAP v1 vs v2 (DESIGN.md section 12). Synthetic models with a fixed
-// subset count and a swept observation count, written once per
-// (version, size): v1 load/reload cost scales with observations (decode
-// copies and rebuilds every tree), v2 stays O(#subsets) because the
-// mapped flat layout is queried in place and deferred validation never
-// reads the bulk payloads.
+// UDSNAP v2 load cost (DESIGN.md section 12). Synthetic models with a
+// fixed subset count and a swept observation count, written once per
+// (size, width): load/reload stays O(#subsets) because the mapped flat
+// layout is queried in place and deferred validation never reads the
+// bulk payloads.
 
 Model BuildSyntheticModel(uint64_t total_obs) {
   ModelOptions options;
@@ -391,34 +345,27 @@ Model BuildSyntheticModel(uint64_t total_obs) {
   return model;
 }
 
-const std::string& BenchSnapshotPath(int64_t total_obs, uint32_t version,
-                                     bool f16 = false) {
+const std::string& BenchSnapshotPath(int64_t total_obs, bool f16 = false) {
   static auto* const cache =
-      new std::map<std::tuple<int64_t, uint32_t, bool>, std::string>();
-  const auto key = std::make_tuple(total_obs, version, f16);
+      new std::map<std::pair<int64_t, bool>, std::string>();
+  const auto key = std::make_pair(total_obs, f16);
   auto it = cache->find(key);
   if (it != cache->end()) return it->second;
   const Model model = BuildSyntheticModel(static_cast<uint64_t>(total_obs));
   std::string path = std::filesystem::temp_directory_path().string() +
-                     "/unidetect_bench_v" + std::to_string(version) +
-                     (f16 ? "f16" : "") + "_" + std::to_string(total_obs) +
-                     ".model";
-  UNIDETECT_CHECK(!f16 || version == 2);
-  const std::string bytes =
-      version == 2
-          ? EncodeModelSnapshotV2(model, f16 ? ObservationEncoding::kF16
-                                             : ObservationEncoding::kF32)
-          : EncodeModelSnapshotV1(model);
+                     "/unidetect_bench_v2" + (f16 ? "f16" : "") + "_" +
+                     std::to_string(total_obs) + ".model";
+  const std::string bytes = EncodeModelSnapshotV2(
+      model, f16 ? ObservationEncoding::kF16 : ObservationEncoding::kF32);
   UNIDETECT_CHECK(WriteStringToFile(path, bytes).ok());
   return cache->emplace(key, std::move(path)).first->second;
 }
 
 // Cold open through the serving read handle (ModelView::Open, deferred
-// validation — the DetectionService::Reload path). range(0) = snapshot
-// format version, range(1) = total observations.
+// validation — the DetectionService::Reload path). range(0) = total
+// observations.
 void BM_ModelLoadV2(benchmark::State& state) {
-  const std::string& path = BenchSnapshotPath(
-      state.range(1), static_cast<uint32_t>(state.range(0)));
+  const std::string& path = BenchSnapshotPath(state.range(0));
   for (auto _ : state) {
     auto view = ModelView::Open(path);
     if (!view.ok()) {
@@ -432,22 +379,17 @@ void BM_ModelLoadV2(benchmark::State& state) {
       static_cast<int64_t>(ReadFileToString(path)->size()));
 }
 BENCHMARK(BM_ModelLoadV2)
-    ->ArgNames({"ver", "obs"})
-    ->Args({1, 100000})
-    ->Args({1, 400000})
-    ->Args({1, 1600000})
-    ->Args({2, 100000})
-    ->Args({2, 400000})
-    ->Args({2, 1600000})
+    ->ArgName("obs")
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Arg(1600000)
     ->Unit(benchmark::kMicrosecond);
 
 // Full hot-swap latency: DetectionService::Reload end to end (open,
-// engine construction, pointer swap). The acceptance numbers: v2 at
-// least 10x faster than v1 at equal size, and sub-linear in the
-// observation count.
+// engine construction, pointer swap). The acceptance number: sub-linear
+// in the observation count.
 void BM_ReloadLatency(benchmark::State& state) {
-  const std::string& path = BenchSnapshotPath(
-      state.range(1), static_cast<uint32_t>(state.range(0)));
+  const std::string& path = BenchSnapshotPath(state.range(0));
   auto service = DetectionService::Create(path);
   if (!service.ok()) {
     state.SkipWithError("create failed");
@@ -458,25 +400,20 @@ void BM_ReloadLatency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReloadLatency)
-    ->ArgNames({"ver", "obs"})
-    ->Args({1, 100000})
-    ->Args({1, 400000})
-    ->Args({1, 1600000})
-    ->Args({2, 100000})
-    ->Args({2, 400000})
-    ->Args({2, 1600000})
+    ->ArgName("obs")
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Arg(1600000)
     ->Unit(benchmark::kMicrosecond);
 
-// LR lookup through a loaded model, owned v1 storage vs mapped v2
-// spans: the zero-copy layout must not tax the query hot path (within
-// 5% is the acceptance bound; the binary-searched sorted index and the
-// identical SubsetStats query code are why it holds). The f16=1 leg
+// LR lookup through a mapped v2 model: the binary-searched sorted index
+// and the SubsetStats query code are the same as a trained model's, so
+// the zero-copy layout does not tax the query hot path. The f16=1 leg
 // queries the half-precision observation sections in place — half the
 // resident bytes, widened lane-by-lane in the SIMD leaf scans.
 void BM_LrQueryLoadedModel(benchmark::State& state) {
   const std::string& path =
-      BenchSnapshotPath(state.range(1), static_cast<uint32_t>(state.range(0)),
-                        state.range(2) != 0);
+      BenchSnapshotPath(state.range(0), state.range(1) != 0);
   auto view = ModelView::Open(path);
   if (!view.ok()) {
     state.SkipWithError("open failed");
@@ -497,10 +434,9 @@ void BM_LrQueryLoadedModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LrQueryLoadedModel)
-    ->ArgNames({"ver", "obs", "f16"})
-    ->Args({1, 1600000, 0})
-    ->Args({2, 1600000, 0})
-    ->Args({2, 1600000, 1});
+    ->ArgNames({"obs", "f16"})
+    ->Args({1600000, 0})
+    ->Args({1600000, 1});
 
 // Serving-tier batch throughput: tables/second through DetectionService
 // at 1 and 4 worker threads.
@@ -654,7 +590,7 @@ const DeltaChainFixture& BenchDeltaChain(size_t num_deltas) {
 // Incremental publish latency: DetectionService::ApplyDelta end to end
 // (identity read, manifest chain validation, mmap open, engine
 // construction, pointer swap). The acceptance bound: within ~10x of the
-// BM_ReloadLatency v2 floor — a delta publish is a Reload plus one
+// BM_ReloadLatency floor — a delta publish is a Reload plus one
 // chain check, never a full-model decode.
 void BM_ApplyDelta(benchmark::State& state) {
   const DeltaChainFixture& f = BenchDeltaChain(1);

@@ -2,13 +2,13 @@
 # Runs the hot-path microbenchmarks and records the numbers that back the
 # performance claims in BENCH_PR8.json at the repo root: the PR 1 pairs
 # (single-pass MPD closest pair vs the three-scan reference,
-# merge-sort-tree LR counting vs the linear scan), the PR 3 pairs
-# (binary snapshot vs legacy text cold model load, DetectBatch
-# throughput at 1 vs 4 threads), the PR 4 offline pipeline sweep
+# merge-sort-tree LR counting vs the linear scan), DetectBatch
+# throughput at 1 vs 4 threads, the PR 4 offline pipeline sweep
 # (BM_OfflineBuild at 1/2/4/8 shards, BM_OfflineMerge fold cost), the
-# PR 5 UDSNAP v2 pairs (BM_ModelLoadV2 and BM_ReloadLatency at ver=1
-# vs ver=2 across observation counts, BM_LrQueryLoadedModel over owned
-# v1 vs mapped v2 storage), and the PR 6 pairs (BM_CountSurprising
+# UDSNAP v2 load costs (BM_ModelLoadV2 and BM_ReloadLatency across
+# observation counts, BM_LrQueryLoadedModel over mapped v2 storage;
+# the v1 and legacy-text legs went with those formats), and the PR 6
+# pairs (BM_CountSurprising
 # with the SIMD kernels on vs forced scalar, BM_DetectBatchWarmCache
 # vs the cold BM_DetectBatch, BM_LrQueryLoadedModel over f16 vs f32
 # observation sections), and the PR 8 layered-serving sweep
@@ -32,7 +32,7 @@ fi
 ctest --test-dir build -L 'perf|offline' --output-on-failure
 
 build/bench/bench_perf \
-  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadBinary|ModelLoadText|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|OfflineBuild|OfflineMerge)' \
+  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|OfflineBuild|OfflineMerge)' \
   --benchmark_format=json \
   --benchmark_out=BENCH_PR8.json \
   --benchmark_out_format=json \

@@ -34,11 +34,13 @@ run_preset release
 # snapshot fuzz smoke (never-crash contract on mutated snapshots), then
 # the delta equivalence suite (base+K deltas byte-identical to the
 # Model::Merge fold at every K, through the stack, the service, and the
-# compactor).
+# compactor), then the snapshot_convert binary driven end to end (f16/f32
+# round trip, --chain audit, typed refusal of retired v1 input).
 ctest --preset offline
 ctest --preset fuzz
 ctest --test-dir build-release --output-on-failure \
   -R 'ModelStack|DeltaSnapshot|ApplyDelta|Compactor'
+ctest --test-dir build-release --output-on-failure -R 'SnapshotConvert'
 # Network front end gate: loopback byte-identity (single- and
 # multi-shard), typed overload / deadline / per-connection-cap
 # shedding, zero torn responses across reload churn, wire robustness,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/simd.h"
@@ -48,22 +46,6 @@ void SubsetStats::Finalize() {
   posts_owned_ = std::move(posts);
   BuildTree();
   finalized_ = true;
-}
-
-Result<SubsetStats> SubsetStats::FromSortedArrays(std::vector<float> pres,
-                                                  std::vector<float> posts) {
-  if (pres.size() != posts.size()) {
-    return Status::Corruption("SubsetStats: pre/post array size mismatch");
-  }
-  if (!std::is_sorted(pres.begin(), pres.end())) {
-    return Status::Corruption("SubsetStats: pre values not sorted");
-  }
-  SubsetStats out;
-  out.pres_owned_ = std::move(pres);
-  out.posts_owned_ = std::move(posts);
-  out.BuildTree();
-  out.finalized_ = true;
-  return out;
 }
 
 Result<SubsetStats> SubsetStats::FromSortedArraysWithTree(
@@ -427,40 +409,6 @@ void SubsetStats::Merge(const SubsetStats& other) {
     pres_owned_.push_back(other.PreAt(i));
     posts_owned_.push_back(other.PostAt(i));
   }
-}
-
-void SubsetStats::SerializeTo(std::string* out) const {
-  std::ostringstream os;
-  // max_digits10 makes the float -> text -> float round trip exact;
-  // anything less shifts stored values across query boundaries (a column
-  // with UR 10/13 must still compare equal to a queried theta of 10/13
-  // after the model is saved and reloaded).
-  os.precision(std::numeric_limits<float>::max_digits10);
-  os << size();
-  for (size_t i = 0; i < size(); ++i) {
-    os << ' ' << PreAt(i) << ' ' << PostAt(i);
-  }
-  out->append(os.str());
-}
-
-Result<SubsetStats> SubsetStats::Deserialize(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  size_t n = 0;
-  if (!(is >> n)) return Status::Corruption("SubsetStats: missing count");
-  SubsetStats out;
-  out.pres_owned_.reserve(n);
-  out.posts_owned_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    float pre = 0;
-    float post = 0;
-    if (!(is >> pre >> post)) {
-      return Status::Corruption("SubsetStats: truncated pair list");
-    }
-    out.pres_owned_.push_back(pre);
-    out.posts_owned_.push_back(post);
-  }
-  out.Finalize();
-  return out;
 }
 
 }  // namespace unidetect

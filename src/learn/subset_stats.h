@@ -6,7 +6,7 @@
 // two counting queries over these observations.
 //
 // Storage model (DESIGN.md section 12): every query runs over
-// span<const float> views. In the trainer / v1-decode path the spans
+// span<const float> views. In the trainer / owned-decode path the spans
 // point at vectors the object owns; in the UDSNAP v2 mmap path they
 // borrow directly from the mapped snapshot (the Model's backing region
 // keeps the mapping alive), so loading a subset allocates nothing and
@@ -156,15 +156,6 @@ class SubsetStats {
   float PreAt(size_t i) const;
   float PostAt(size_t i) const;
 
-  /// \brief Rebuilds a finalized stats object from arrays already in
-  /// pre-sorted order (the v1 snapshot payload). Rejects unsorted or
-  /// size-mismatched input as Corruption: re-sorting here could reorder
-  /// posts among tied pres and break the bit-identical
-  /// Save -> Load -> Save guarantee. Rebuilds the tree (v1 files do not
-  /// carry one).
-  static Result<SubsetStats> FromSortedArrays(std::vector<float> pres,
-                                              std::vector<float> posts);
-
   /// \brief Owned variant of the v2 decode path: installs a
   /// pre-serialized flat tree instead of rebuilding it, so load never
   /// re-runs the Finalize() sort/merge work. `tree` must hold exactly
@@ -194,10 +185,6 @@ class SubsetStats {
       std::span<const uint16_t> pres, std::span<const uint16_t> posts,
       std::span<const uint16_t> tree, bool validate_sorted);
 
-  /// \brief Text serialization: "n pre1 post1 pre2 post2 ...".
-  void SerializeTo(std::string* out) const;
-  static Result<SubsetStats> Deserialize(std::string_view text);
-
  private:
   /// Builds the flat merge-sort tree over posts (pres must be sorted).
   void BuildTree();
@@ -214,9 +201,9 @@ class SubsetStats {
   size_t UpperBoundPre(double theta) const;
 
   // Parallel arrays sorted by (pre, post) after Finalize(). Owned
-  // storage is used by the build/trainer/v1 paths; the *_view_ spans are
-  // populated only in borrowed mode; the *_half_* fields replace their
-  // f32 counterparts in half mode.
+  // storage is used by the build/trainer and owned-decode paths; the
+  // *_view_ spans are populated only in borrowed mode; the *_half_*
+  // fields replace their f32 counterparts in half mode.
   std::vector<float> pres_owned_;
   std::vector<float> posts_owned_;
   // Flat merge-sort tree over posts in pre-sorted order, built by

@@ -13,43 +13,48 @@ namespace unidetect {
 
 namespace {
 
+using snapshot_internal::CheckContainerHeader;
+using snapshot_internal::ContainerHeader;
 using snapshot_internal::kHeaderBytes;
-using snapshot_internal::kTableEntryBytes;
+using snapshot_internal::ReadSectionEntry;
+using snapshot_internal::SectionEntry;
 
 constexpr uint32_t kManifestVersion = 1;
 constexpr size_t kManifestPayloadBytes = 4 + 4 + 8 + 8 + 8;
 
-// Parses just the container framing: magic, version, and the byte count
-// of header + section table (validated against the buffer). Every other
-// identity operation works over that prefix.
-Status ParseContainerPrefix(BinaryReader* reader, uint32_t* section_count,
-                            uint64_t* prefix_bytes) {
-  std::string_view magic;
-  if (!reader->ReadBytes(kSnapshotMagic.size(), &magic) ||
-      magic != kSnapshotMagic) {
-    return Status::Corruption("Snapshot identity: not a UDSNAP container");
+// Scans the section table of `prefix` (header + table, already passed
+// through CheckContainerHeader) for the manifest row; nullopt when the
+// artifact is a base, not a delta.
+Result<std::optional<SectionEntry>> FindManifestRow(std::string_view prefix,
+                                                    uint32_t section_count) {
+  BinaryReader table(prefix.substr(kHeaderBytes));
+  for (uint32_t i = 0; i < section_count; ++i) {
+    SectionEntry row;
+    if (!ReadSectionEntry(&table, &row)) {
+      return Status::Corruption("Delta manifest: truncated section table");
+    }
+    if (row.id != static_cast<uint32_t>(SnapshotSection::kDeltaManifest)) {
+      continue;
+    }
+    if (row.length != kManifestPayloadBytes) {
+      return Status::Corruption(StrCat("Delta manifest: section length ",
+                                       row.length, " (want ",
+                                       kManifestPayloadBytes, ")"));
+    }
+    return std::optional<SectionEntry>(row);
   }
-  uint32_t version = 0;
-  if (!reader->ReadU32(&version) || !reader->ReadU32(section_count)) {
-    return Status::Corruption("Snapshot identity: truncated header");
+  return std::optional<SectionEntry>();
+}
+
+// Always checksummed — the payload is 32 bytes, and the chain fields
+// steer which layers serving stacks, so they are never trusted raw.
+Result<DeltaManifest> DecodeManifestSection(const SectionEntry& row,
+                                            std::string_view payload) {
+  if (Crc32(payload) != row.crc) {
+    return Status::Corruption(
+        "Delta manifest: checksum mismatch in manifest section");
   }
-  if (version > kSnapshotVersion) {
-    return Status::NotImplemented(
-        StrCat("Snapshot identity: format version ", version,
-               " is newer than the supported version ", kSnapshotVersion));
-  }
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const uint64_t table_bytes,
-      CheckedMul<uint64_t>(*section_count, kTableEntryBytes,
-                           "snapshot identity section table"));
-  if (table_bytes > reader->remaining()) {
-    return Status::Corruption("Snapshot identity: truncated section table");
-  }
-  UNIDETECT_ASSIGN_OR_RETURN(
-      *prefix_bytes,
-      CheckedAdd<uint64_t>(kHeaderBytes, table_bytes,
-                           "snapshot identity extent"));
-  return Status::OK();
+  return DecodeDeltaManifestPayload(payload);
 }
 
 }  // namespace
@@ -102,16 +107,13 @@ Result<DeltaManifest> DecodeDeltaManifestPayload(std::string_view payload) {
 }
 
 Result<uint64_t> SnapshotArtifactId(std::string_view bytes) {
-  BinaryReader reader(bytes);
-  uint32_t section_count = 0;
-  uint64_t prefix_bytes = 0;
-  UNIDETECT_RETURN_NOT_OK(
-      ParseContainerPrefix(&reader, &section_count, &prefix_bytes));
+  UNIDETECT_ASSIGN_OR_RETURN(const ContainerHeader header,
+                             CheckContainerHeader(bytes, bytes.size()));
   // FNV-1a-64 over header + section table. The table rows carry every
   // section's CRC-32, so this commits to all payload content at
   // O(#sections) cost.
   uint64_t hash = 14695981039346656037ULL;
-  for (uint64_t i = 0; i < prefix_bytes; ++i) {
+  for (uint64_t i = 0; i < header.prefix_bytes; ++i) {
     hash ^= static_cast<uint8_t>(bytes[static_cast<size_t>(i)]);
     hash *= 1099511628211ULL;
   }
@@ -120,45 +122,19 @@ Result<uint64_t> SnapshotArtifactId(std::string_view bytes) {
 
 Result<std::optional<DeltaManifest>> FindDeltaManifest(
     std::string_view bytes) {
-  BinaryReader reader(bytes);
-  uint32_t section_count = 0;
-  uint64_t prefix_bytes = 0;
-  UNIDETECT_RETURN_NOT_OK(
-      ParseContainerPrefix(&reader, &section_count, &prefix_bytes));
+  UNIDETECT_ASSIGN_OR_RETURN(const ContainerHeader header,
+                             CheckContainerHeader(bytes, bytes.size()));
+  UNIDETECT_ASSIGN_OR_RETURN(const std::optional<SectionEntry> row,
+                             FindManifestRow(bytes, header.section_count));
+  if (!row.has_value()) return std::optional<DeltaManifest>();
+  // SubSpan overflow-checks offset + length against the buffer, so a
+  // hostile table row cannot walk out of bounds here.
   const BoundedReader file(bytes, "Delta manifest");
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0;
-    uint32_t crc = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    if (!reader.ReadU32(&id) || !reader.ReadU32(&crc) ||
-        !reader.ReadU64(&offset) || !reader.ReadU64(&length)) {
-      return Status::Corruption(
-          "Delta manifest: truncated section table");
-    }
-    if (id != static_cast<uint32_t>(SnapshotSection::kDeltaManifest)) {
-      continue;
-    }
-    if (length != kManifestPayloadBytes) {
-      return Status::Corruption(
-          StrCat("Delta manifest: section length ", length, " (want ",
-                 kManifestPayloadBytes, ")"));
-    }
-    // SubSpan overflow-checks offset + length against the buffer, so a
-    // hostile table row cannot walk out of bounds here.
-    UNIDETECT_ASSIGN_OR_RETURN(const std::string_view payload,
-                               file.SubSpan(offset, length));
-    // Always checksummed — the payload is 32 bytes, and the chain fields
-    // steer which layers serving stacks, so they are never trusted raw.
-    if (Crc32(payload) != crc) {
-      return Status::Corruption(
-          "Delta manifest: checksum mismatch in manifest section");
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(const DeltaManifest manifest,
-                               DecodeDeltaManifestPayload(payload));
-    return std::optional<DeltaManifest>(manifest);
-  }
-  return std::optional<DeltaManifest>();
+  UNIDETECT_ASSIGN_OR_RETURN(const std::string_view payload,
+                             file.SubSpan(row->offset, row->length));
+  UNIDETECT_ASSIGN_OR_RETURN(const DeltaManifest manifest,
+                             DecodeManifestSection(*row, payload));
+  return std::optional<DeltaManifest>(manifest);
 }
 
 Result<SnapshotIdentity> ReadSnapshotIdentity(const std::string& path) {
@@ -181,92 +157,38 @@ Result<SnapshotIdentity> ReadSnapshotIdentity(const std::string& path) {
   if (!in.read(header.data(), static_cast<std::streamsize>(header.size()))) {
     return Status::IOError(StrCat("Snapshot identity: short read on ", path));
   }
-  BinaryReader reader(header);
-  uint32_t section_count = 0;
-  uint64_t prefix_bytes = 0;
-  {
-    // ParseContainerPrefix validates the table extent against the
-    // buffer; with only the header in hand, check against the real file
-    // size instead.
-    std::string_view magic;
-    if (!reader.ReadBytes(kSnapshotMagic.size(), &magic) ||
-        magic != kSnapshotMagic) {
-      return Status::Corruption("Snapshot identity: not a UDSNAP container");
-    }
-    uint32_t version = 0;
-    if (!reader.ReadU32(&version) || !reader.ReadU32(&section_count)) {
-      return Status::Corruption("Snapshot identity: truncated header");
-    }
-    if (version > kSnapshotVersion) {
-      return Status::NotImplemented(
-          StrCat("Snapshot identity: format version ", version,
-                 " is newer than the supported version ", kSnapshotVersion));
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const uint64_t table_bytes,
-        CheckedMul<uint64_t>(section_count, kTableEntryBytes,
-                             "snapshot identity section table"));
-    UNIDETECT_ASSIGN_OR_RETURN(
-        prefix_bytes, CheckedAdd<uint64_t>(kHeaderBytes, table_bytes,
-                                           "snapshot identity extent"));
-    if (prefix_bytes > file_size) {
-      return Status::Corruption("Snapshot identity: truncated section table");
-    }
-  }
+  UNIDETECT_ASSIGN_OR_RETURN(const ContainerHeader container,
+                             CheckContainerHeader(header, file_size));
   std::string prefix = std::move(header);
-  prefix.resize(static_cast<size_t>(prefix_bytes));
+  prefix.resize(static_cast<size_t>(container.prefix_bytes));
   if (!in.read(prefix.data() + kHeaderBytes,
-               static_cast<std::streamsize>(prefix_bytes - kHeaderBytes))) {
+               static_cast<std::streamsize>(container.prefix_bytes -
+                                            kHeaderBytes))) {
     return Status::IOError(StrCat("Snapshot identity: short read on ", path));
   }
 
   SnapshotIdentity identity;
   UNIDETECT_ASSIGN_OR_RETURN(identity.artifact_id, SnapshotArtifactId(prefix));
 
-  // Scan the table for the manifest section and fetch just its payload.
-  BinaryReader table(std::string_view(prefix).substr(kHeaderBytes));
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0;
-    uint32_t crc = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    if (!table.ReadU32(&id) || !table.ReadU32(&crc) ||
-        !table.ReadU64(&offset) || !table.ReadU64(&length)) {
-      return Status::Corruption("Delta manifest: truncated section table");
-    }
-    if (id != static_cast<uint32_t>(SnapshotSection::kDeltaManifest)) {
-      continue;
-    }
-    if (length != kManifestPayloadBytes) {
-      return Status::Corruption(
-          StrCat("Delta manifest: section length ", length, " (want ",
-                 kManifestPayloadBytes, ")"));
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(
-        const uint64_t section_end,
-        CheckedAdd<uint64_t>(offset, length, "delta manifest extent"));
-    if (section_end > file_size) {
-      return Status::Corruption(
-          "Delta manifest: section extends past end of file");
-    }
-    std::string payload(kManifestPayloadBytes, '\0');
-    in.seekg(static_cast<std::streamoff>(offset), std::ios::beg);
-    if (!in.read(payload.data(),
-                 static_cast<std::streamsize>(payload.size()))) {
-      return Status::IOError(
-          StrCat("Snapshot identity: short read on ", path));
-    }
-    // Always checksummed — the chain fields steer which layers serving
-    // stacks, so they are never trusted raw.
-    if (Crc32(payload) != crc) {
-      return Status::Corruption(
-          "Delta manifest: checksum mismatch in manifest section");
-    }
-    UNIDETECT_ASSIGN_OR_RETURN(const DeltaManifest manifest,
-                               DecodeDeltaManifestPayload(payload));
-    identity.manifest = manifest;
-    break;
+  // Find the manifest row and fetch just its payload.
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const std::optional<SectionEntry> row,
+      FindManifestRow(prefix, container.section_count));
+  if (!row.has_value()) return identity;
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const uint64_t section_end,
+      CheckedAdd<uint64_t>(row->offset, row->length, "delta manifest extent"));
+  if (section_end > file_size) {
+    return Status::Corruption(
+        "Delta manifest: section extends past end of file");
   }
+  std::string payload(kManifestPayloadBytes, '\0');
+  in.seekg(static_cast<std::streamoff>(row->offset), std::ios::beg);
+  if (!in.read(payload.data(), static_cast<std::streamsize>(payload.size()))) {
+    return Status::IOError(StrCat("Snapshot identity: short read on ", path));
+  }
+  UNIDETECT_ASSIGN_OR_RETURN(identity.manifest,
+                             DecodeManifestSection(*row, payload));
   return identity;
 }
 

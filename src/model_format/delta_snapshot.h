@@ -62,8 +62,9 @@ Result<DeltaManifest> DecodeDeltaManifestPayload(std::string_view payload);
 
 /// \brief Content-committing artifact id of any UDSNAP container:
 /// FNV-1a-64 over the header and section table bytes (which embed every
-/// payload's CRC-32). Corruption when `bytes` is not a UDSNAP container
-/// or the table is truncated.
+/// payload's CRC-32). Corruption when `bytes` is not a readable UDSNAP
+/// container or the table is truncated; NotImplemented for a newer
+/// format version.
 Result<uint64_t> SnapshotArtifactId(std::string_view bytes);
 
 /// \brief Locates and decodes the kDeltaManifest section of a UDSNAP
@@ -81,8 +82,9 @@ struct SnapshotIdentity {
 };
 
 /// \brief Reads `path` and resolves its identity. IOError when the file
-/// is unreadable; Corruption when it is not a UDSNAP container (legacy
-/// text models have no identity — callers treat them as id-less bases).
+/// is unreadable; Corruption when it is not a readable UDSNAP container
+/// (the header check every snapshot reader shares, so an artifact that
+/// no loader can open never gets an identity).
 /// I/O is bounded by the header, section table, and 32-byte manifest
 /// payload — never the bulk sections — so the Reload/ApplyDelta hot
 /// path stays O(#sections) regardless of snapshot size.

@@ -18,15 +18,14 @@
 // Encoding is fully deterministic (sorted subsets, tokens, patterns):
 // Save -> Load -> Save produces identical bytes.
 //
-// Version 2 (the default writer output, model_format/snapshot_v2.h) lays
-// every payload out flat and 64-byte aligned so a reader can mmap the
-// file and query it in place; version 1 (inline length-prefixed
-// payloads) remains fully readable. Compatibility policy: readers reject
-// snapshots whose format_version is newer than kSnapshotVersion (the
-// layout may have changed incompatibly) and skip unknown section ids
-// within a known version (additive sections do not require a version
-// bump). The legacy text model format remains readable through
-// Model::Load's magic sniff.
+// Version 2 (model_format/snapshot_v2.h) is the one readable layout: it
+// lays every payload out flat and 64-byte aligned so a reader can mmap
+// the file and query it in place. Compatibility policy: every reader
+// runs one header check (snapshot_internal::CheckContainerHeader), which
+// rejects the retired v1 layout and version 0 as Corruption and a
+// format_version newer than kSnapshotVersion as NotImplemented (the
+// layout may have changed incompatibly); unknown section ids within v2
+// are skipped (additive sections do not require a version bump).
 
 #pragma once
 
@@ -44,9 +43,8 @@ inline constexpr std::string_view kSnapshotMagic{"UDSNAP\r\n", 8};
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// \brief Section identifiers. Values are part of the wire format.
-/// Ids 1-4 are the v1 layout; 5-10 are the v2 flat layout (a v2 file
-/// carries {1, 5..10}; id 1 is shared because the options payload is
-/// version-independent). Ids 11-12 are the optional v2 half-precision
+/// A v2 file carries {1, 5..10}; ids 2-4 belonged to the retired v1
+/// layout and stay reserved. Ids 11-12 are the optional v2 half-precision
 /// observation variant: a v2 file carries EITHER the f32 sections {7, 8}
 /// or the f16 sections {11, 12}, never both — an additive encoding under
 /// the section-skip compatibility rule, so no version bump. Id 13 marks
@@ -55,10 +53,10 @@ inline constexpr uint32_t kSnapshotVersion = 2;
 /// (after CRC-checking it) and decode the delta as a plain model —
 /// intentional, since a delta IS a model over the incremental shards.
 enum class SnapshotSection : uint32_t {
-  kOptions = 1,        ///< ModelOptions, fixed-width fields (v1 and v2)
-  kSubsets = 2,        ///< v1: inline per-key (theta1, theta2) lists
-  kTokenIndex = 3,     ///< v1: token prevalence index
-  kPatternIndex = 4,   ///< v1: pattern co-occurrence index
+  kOptions = 1,        ///< ModelOptions, fixed-width fields
+  kRetiredV1Subsets = 2,       ///< retired v1, never reuse
+  kRetiredV1TokenIndex = 3,    ///< retired v1, never reuse
+  kRetiredV1PatternIndex = 4,  ///< retired v1, never reuse
   kStringPool = 5,     ///< v2: interned bytes of all tokens/patterns
   kSubsetIndex = 6,    ///< v2: key-sorted fixed-width subset directory
   kObservations = 7,   ///< v2: contiguous f32 pres/posts arrays
@@ -70,39 +68,25 @@ enum class SnapshotSection : uint32_t {
   kDeltaManifest = 13,   ///< v2: delta chain manifest (delta_snapshot.h)
 };
 
-/// \brief True when `bytes` starts with the snapshot magic (the cheap
-/// sniff Model::Load uses to pick binary vs legacy text decoding).
-bool LooksLikeModelSnapshot(std::string_view bytes);
-
-/// \brief The snapshot's format_version field, or 0 when `bytes` is not
-/// a snapshot (or too short to carry the header).
-uint32_t SnapshotVersionOf(std::string_view bytes);
-
-/// \brief Encodes a finalized model as one snapshot blob in the current
-/// default format (v2 flat layout).
+/// \brief Encodes a finalized model as one v2 snapshot blob, keeping the
+/// model's observation width (ObservationEncoding::kPreserve).
 std::string EncodeModelSnapshot(const Model& model);
 
-/// \brief Encodes the legacy v1 layout. Kept as a writer so format-
-/// migration tests, tools/snapshot_convert, and the v1-vs-v2 benchmarks
-/// can produce v1 artifacts on demand.
-std::string EncodeModelSnapshotV1(const Model& model);
-
-/// \brief Decodes a snapshot blob (either version, dispatched on the
-/// header) into a finalized, query-ready model. Always copies into owned
-/// storage — in-memory buffers carry no alignment guarantee; the
-/// zero-copy path is LoadModelFromFile / ModelView over a mapped file.
+/// \brief Decodes a v2 snapshot blob into a finalized, query-ready model.
+/// Always copies into owned storage — in-memory buffers carry no
+/// alignment guarantee; the zero-copy path is LoadModelFromFile /
+/// ModelView over a mapped file.
 ///
-/// Never returns a partial model: corrupt, truncated, or checksum-failed
-/// input yields Status::Corruption; input written by a newer format
-/// version yields Status::NotImplemented.
+/// Never returns a partial model: corrupt, truncated, checksum-failed or
+/// retired-v1 input yields Status::Corruption; input written by a newer
+/// format version yields Status::NotImplemented.
 Result<Model> DecodeModelSnapshot(
     std::string_view bytes,
     SnapshotValidation validation = SnapshotValidation::kFull);
 
-/// \brief Loads a model file of any supported format: v2 snapshots are
-/// mapped and decoded zero-copy (on little-endian hosts), v1 snapshots
-/// and legacy text models are decoded into owned storage via the magic
-/// sniff. Backs Model::Load and DetectionService::Reload.
+/// \brief Maps a v2 snapshot file and decodes it zero-copy (an owned
+/// decode on big-endian hosts), with the same typed errors as
+/// DecodeModelSnapshot. Backs Model::Load and DetectionService::Reload.
 Result<Model> LoadModelFromFile(
     const std::string& path,
     SnapshotValidation validation = SnapshotValidation::kFull);

@@ -21,10 +21,12 @@ namespace unidetect {
 
 namespace {
 
+using snapshot_internal::ContainerHeader;
 using snapshot_internal::DecodeOptionsPayload;
 using snapshot_internal::EncodeOptionsPayload;
 using snapshot_internal::kHeaderBytes;
 using snapshot_internal::kTableEntryBytes;
+using snapshot_internal::SectionEntry;
 using snapshot_internal::SectionName;
 
 constexpr uint64_t kSectionAlign = 64;
@@ -172,45 +174,19 @@ struct ParsedV2 {
 /// view in `out` points into `bytes`.
 Status ParseV2(std::string_view bytes, SnapshotValidation validation,
                ParsedV2* out) {
-  BinaryReader reader(bytes);
-  std::string_view magic;
-  if (!reader.ReadBytes(kSnapshotMagic.size(), &magic) ||
-      magic != kSnapshotMagic) {
-    return Status::Corruption("Model snapshot: bad magic");
-  }
-  uint32_t version = 0;
-  uint32_t section_count = 0;
-  if (!reader.ReadU32(&version) || !reader.ReadU32(&section_count)) {
-    return Status::Corruption("Model snapshot: truncated header");
-  }
-  if (version > kSnapshotVersion) {
-    return Status::NotImplemented(
-        StrCat("Model snapshot: format version ", version,
-               " is newer than the supported version ", kSnapshotVersion,
-               "; upgrade the reader"));
-  }
-  if (version != 2) {
-    return Status::Corruption(
-        StrCat("Model snapshot: not a v2 snapshot (version ", version, ")"));
-  }
+  UNIDETECT_ASSIGN_OR_RETURN(
+      const ContainerHeader header,
+      snapshot_internal::CheckContainerHeader(bytes, bytes.size()));
 
   struct Entry {
     uint32_t id = 0;
     uint32_t crc = 0;
     std::string_view payload;
   };
-  // The table size is validated against the file BEFORE the reserve: a
-  // crafted section_count must not drive a multi-gigabyte allocation
-  // (std::bad_alloc is a crash, not a typed Corruption).
-  UNIDETECT_ASSIGN_OR_RETURN(
-      const uint64_t table_bytes,
-      CheckedMul<uint64_t>(section_count, kTableEntryBytes,
-                           "snapshot section table"));
-  if (table_bytes > reader.remaining()) {
-    return Status::Corruption("Model snapshot: truncated section table");
-  }
+  // Safe to reserve: CheckContainerHeader bounded the table by the file.
   std::vector<Entry> entries;
-  entries.reserve(section_count);
+  entries.reserve(header.section_count);
+  BinaryReader reader(bytes.substr(kHeaderBytes));
   const BoundedReader file(bytes, "Model snapshot");
   uint32_t prev_id = 0;
   // Canonical packing: payloads are contiguous in table order, each
@@ -219,16 +195,13 @@ Status ParseV2(std::string_view bytes, SnapshotValidation validation,
   // outside every CRC, so the explicit zero check is what catches
   // corruption there; the exact-end rule is what makes any truncation a
   // bounds failure.
-  uint64_t expected_end = kHeaderBytes + table_bytes;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0;
-    uint32_t crc = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    if (!reader.ReadU32(&id) || !reader.ReadU32(&crc) ||
-        !reader.ReadU64(&offset) || !reader.ReadU64(&length)) {
+  uint64_t expected_end = header.prefix_bytes;
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry row;
+    if (!snapshot_internal::ReadSectionEntry(&reader, &row)) {
       return Status::Corruption("Model snapshot: truncated section table");
     }
+    const auto [id, crc, offset, length] = row;
     if (id <= prev_id) {
       return Status::Corruption(
           "Model snapshot: section ids not strictly ascending");
@@ -789,8 +762,8 @@ std::string EncodeModelSnapshotV2(const Model& model,
   return out;
 }
 
-Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
-                                    SnapshotValidation validation) {
+Result<Model> DecodeModelSnapshot(std::string_view bytes,
+                                  SnapshotValidation validation) {
   ParsedV2 parsed;
   UNIDETECT_RETURN_NOT_OK(ParseV2(bytes, validation, &parsed));
   return BuildModelFromParsed(parsed, validation, /*zero_copy=*/false);
@@ -799,10 +772,9 @@ Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
 Result<Model> ModelFromSnapshotRegion(std::shared_ptr<MmapRegion> region,
                                       SnapshotValidation validation) {
   const std::string_view bytes = region->bytes();
-  if (!kHostIsLittleEndian || SnapshotVersionOf(bytes) < 2) {
-    // Big-endian hosts must byte-swap (owned decode); pre-v2 files have
-    // no flat layout to borrow from. Either way the region is dropped
-    // after the copy.
+  if (!kHostIsLittleEndian) {
+    // Big-endian hosts must byte-swap: owned decode, and the region is
+    // dropped after the copy.
     return DecodeModelSnapshot(bytes, validation);
   }
   ParsedV2 parsed;

@@ -3,7 +3,7 @@
 //
 // Section payloads (inside the container of model_snapshot.h):
 //
-//   kOptions       same fixed-width payload as v1
+//   kOptions       fixed-width ModelOptions fields
 //   kStringPool    u64 byte_count, then the concatenated bytes of every
 //                  interned string (tokens, patterns, pattern-pair keys)
 //                  in sorted-unique order
@@ -82,13 +82,8 @@ std::string EncodeModelSnapshotV2(
     ObservationEncoding encoding = ObservationEncoding::kPreserve,
     const DeltaManifest* manifest = nullptr);
 
-/// \brief Owned decode of a v2 blob: observation and tree floats are
-/// copied out of `bytes` (which therefore needs no particular alignment
-/// and may be freed afterwards).
-Result<Model> DecodeModelSnapshotV2(std::string_view bytes,
-                                    SnapshotValidation validation);
-
-/// \brief Zero-copy decode of a mapped v2 snapshot: the returned model's
+/// \brief Zero-copy decode of a mapped v2 snapshot (the owned decode of
+/// an in-memory blob is DecodeModelSnapshot): the returned model's
 /// SubsetStats borrow their pres/posts/tree storage directly from the
 /// region, and the model holds the region alive (Model::SetBacking) —
 /// the last copy of the model unmaps the file. On big-endian hosts this

@@ -3,11 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "corpus/generator.h"
+#include "detect/finding_json.h"
 #include "learn/model.h"
 #include "learn/trainer.h"
+#include "model_format/delta_snapshot.h"
+#include "model_format/model_view.h"
+#include "retired_v1_snapshot.h"
+#include "serving/detection_service.h"
 #include "util/binary_io.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -46,12 +55,21 @@ const Model& SnapshotModel() {
   return *model;
 }
 
+// Readers recognize a snapshot by its magic alone: anything else is
+// Corruption before a version or section field is read.
 TEST(ModelSnapshotTest, MagicSniff) {
   const std::string bytes = EncodeModelSnapshot(SnapshotModel());
-  EXPECT_TRUE(LooksLikeModelSnapshot(bytes));
-  EXPECT_FALSE(LooksLikeModelSnapshot(SnapshotModel().Serialize()));
-  EXPECT_FALSE(LooksLikeModelSnapshot(""));
-  EXPECT_FALSE(LooksLikeModelSnapshot("UDSNAP"));  // truncated magic
+  EXPECT_EQ(std::string_view(bytes).substr(0, kSnapshotMagic.size()),
+            kSnapshotMagic);
+  EXPECT_TRUE(DecodeModelSnapshot(bytes).ok());
+  for (const std::string_view not_a_snapshot :
+       {std::string_view("UniDetectModel v1\n"), std::string_view(),
+        std::string_view("UDSNAP")}) {  // the last: truncated magic
+    const Status status = DecodeModelSnapshot(not_a_snapshot).status();
+    EXPECT_TRUE(status.IsCorruption()) << status;
+    EXPECT_NE(status.message().find("bad magic"), std::string::npos)
+        << status;
+  }
 }
 
 TEST(ModelSnapshotTest, EncodeDecodeEncodeIsBitIdentical) {
@@ -97,16 +115,6 @@ TEST(ModelSnapshotTest, DecodedModelAnswersIdenticalQueries) {
         model.LikelihoodRatio(ErrorClass::kOutlier, key, theta1, theta2),
         decoded->LikelihoodRatio(ErrorClass::kOutlier, key, theta1, theta2));
   }
-}
-
-TEST(ModelSnapshotTest, LegacyTextModelStillLoads) {
-  const Model& model = SnapshotModel();
-  const std::string path = testing::TempDir() + "/legacy_text.model";
-  ASSERT_TRUE(WriteStringToFile(path, model.Serialize()).ok());
-  auto loaded = Model::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_subsets(), model.num_subsets());
-  EXPECT_EQ(loaded->num_observations(), model.num_observations());
 }
 
 TEST(ModelSnapshotTest, UnknownFormatIsCorruption) {
@@ -203,6 +211,84 @@ TEST(ModelSnapshotRobustnessTest, MissingSectionIsCorruption) {
   auto decoded = DecodeModelSnapshot(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+}
+
+// ---------------------------------------------------------------------
+// Retired formats: the UDSNAP v1 layout and the legacy text model are
+// no longer readable. Every reader refuses both with a typed Corruption
+// that names the cause; none of them reads a payload first.
+
+// The opening of a legacy text model file.
+constexpr char kLegacyTextModel[] =
+    "UniDetectModel v1\n"
+    "options 1 0 0 2 0.01 1 30 0.1 8 3 5000\n"
+    "subsets 0\n";
+
+TEST(RetiredFormatTest, V1AndLegacyTextAreCorruptionForEveryReader) {
+  SetLogLevel(LogLevel::kWarning);
+  const std::string v1_path = testing::TempDir() + "/retired_v1.udsnap";
+  const std::string text_path = testing::TempDir() + "/retired_text.model";
+  const std::string base_path = testing::TempDir() + "/retired_base.udsnap";
+  ASSERT_TRUE(WriteStringToFile(v1_path, RetiredV1Snapshot()).ok());
+  ASSERT_TRUE(WriteStringToFile(text_path, kLegacyTextModel).ok());
+  ASSERT_TRUE(SnapshotModel().Save(base_path).ok());
+
+  // A service already serving a v2 base; a refused Reload must leave it
+  // serving that generation with unchanged answers.
+  auto service = DetectionService::Create(base_path);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const AnnotatedCorpus probe = GenerateCorpus(WebCorpusSpec(6, 31));
+  const auto before = (*service)->DetectBatch(probe.corpus.tables);
+
+  struct Case {
+    std::string path;
+    std::string why;  // substring every refusal message must carry
+  };
+  for (const Case& c : {Case{v1_path, "version 1"},
+                        Case{text_path, "bad magic"}}) {
+    SCOPED_TRACE(c.path);
+    const std::string bytes = *ReadFileToString(c.path);
+    std::vector<std::pair<const char*, Status>> refusals;
+    refusals.emplace_back("DecodeModelSnapshot",
+                          DecodeModelSnapshot(bytes).status());
+    refusals.emplace_back("LoadModelFromFile",
+                          LoadModelFromFile(c.path).status());
+    refusals.emplace_back("Model::Load", Model::Load(c.path).status());
+    refusals.emplace_back("ModelView::Open",
+                          ModelView::Open(c.path).status());
+    refusals.emplace_back("ReadSnapshotIdentity",
+                          ReadSnapshotIdentity(c.path).status());
+    refusals.emplace_back("SnapshotArtifactId",
+                          SnapshotArtifactId(bytes).status());
+    refusals.emplace_back("FindDeltaManifest",
+                          FindDeltaManifest(bytes).status());
+    refusals.emplace_back("DetectionService::Create",
+                          DetectionService::Create(c.path).status());
+    refusals.emplace_back("DetectionService::Reload",
+                          (*service)->Reload(c.path));
+    for (const auto& [reader, status] : refusals) {
+      EXPECT_TRUE(status.IsCorruption()) << reader << ": " << status;
+      EXPECT_NE(status.message().find(c.why), std::string::npos)
+          << reader << ": " << status;
+    }
+  }
+  // The v1 refusal says why, not just that it failed.
+  EXPECT_NE(DecodeModelSnapshot(RetiredV1Snapshot())
+                .status()
+                .message()
+                .find("retired"),
+            std::string::npos);
+
+  EXPECT_EQ((*service)->generation(), 1u);
+  EXPECT_EQ((*service)->Stats().failed_reloads, 2u);
+  const auto after = (*service)->DetectBatch(probe.corpus.tables);
+  ASSERT_EQ(after.per_table.size(), before.per_table.size());
+  EXPECT_EQ(after.generation, 1u);
+  for (size_t i = 0; i < before.per_table.size(); ++i) {
+    EXPECT_EQ(FindingsToJson(after.per_table[i]),
+              FindingsToJson(before.per_table[i]))
+        << "table " << i;
+  }
 }
 
 }  // namespace

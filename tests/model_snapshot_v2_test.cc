@@ -1,4 +1,5 @@
-// UDSNAP v2 flat-layout tests: v1/v2 equivalence, the zero-copy mmap
+// UDSNAP v2 flat-layout tests: trained/owned/mapped equivalence, the
+// zero-copy mmap
 // read path (ModelView / Model::Load), deferred validation semantics,
 // the small-subset no-tree rule, and loader robustness against corrupt
 // files read through the mapped path. The asan/ubsan presets run this
@@ -113,20 +114,22 @@ void ExpectIdenticalQueries(const Model& a, const Model& b) {
 
 TEST(SnapshotV2Test, DefaultWriterEmitsVersionTwo) {
   const std::string v2 = EncodeModelSnapshot(LargeModel());
-  const std::string v1 = EncodeModelSnapshotV1(LargeModel());
-  EXPECT_TRUE(LooksLikeModelSnapshot(v2));
-  EXPECT_TRUE(LooksLikeModelSnapshot(v1));
-  EXPECT_EQ(SnapshotVersionOf(v2), 2u);
-  EXPECT_EQ(SnapshotVersionOf(v1), 1u);
-  // The flat layout carries the v2 sections and none of the v1 inline
-  // payloads (the shared options section excepted).
+  BinaryReader header(v2);
+  std::string_view magic;
+  uint32_t version = 0;
+  ASSERT_TRUE(header.ReadBytes(kSnapshotMagic.size(), &magic) &&
+              header.ReadU32(&version));
+  EXPECT_EQ(magic, kSnapshotMagic);
+  EXPECT_EQ(version, 2u);
+  // The flat layout carries the v2 sections and none of the retired v1
+  // inline payloads (whose ids stay reserved).
   EXPECT_TRUE(FindSection(v2, SnapshotSection::kOptions).found);
   EXPECT_TRUE(FindSection(v2, SnapshotSection::kStringPool).found);
   EXPECT_TRUE(FindSection(v2, SnapshotSection::kSubsetIndex).found);
   EXPECT_TRUE(FindSection(v2, SnapshotSection::kObservations).found);
   EXPECT_TRUE(FindSection(v2, SnapshotSection::kTreeLevels).found);
-  EXPECT_FALSE(FindSection(v2, SnapshotSection::kSubsets).found);
-  EXPECT_FALSE(FindSection(v2, SnapshotSection::kTokenIndex).found);
+  EXPECT_FALSE(FindSection(v2, SnapshotSection::kRetiredV1Subsets).found);
+  EXPECT_FALSE(FindSection(v2, SnapshotSection::kRetiredV1TokenIndex).found);
 }
 
 TEST(SnapshotV2Test, SectionOffsetsAre64ByteAligned) {
@@ -143,33 +146,46 @@ TEST(SnapshotV2Test, SectionOffsetsAre64ByteAligned) {
   }
 }
 
-TEST(SnapshotV2Test, V1AndV2DecodeEquivalently) {
-  auto from_v1 = DecodeModelSnapshot(EncodeModelSnapshotV1(LargeModel()));
-  auto from_v2 = DecodeModelSnapshot(EncodeModelSnapshot(LargeModel()));
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-  ExpectIdenticalQueries(*from_v1, *from_v2);
-  ExpectIdenticalQueries(LargeModel(), *from_v2);
+// The trained in-memory model is the reference; the owned decode of an
+// in-memory blob and the mapped zero-copy load must both answer exactly
+// like it.
+TEST(SnapshotV2Test, OwnedAndMappedDecodeMatchTrainedQueries) {
+  const std::string path = testing::TempDir() + "/v2_owned_mapped.model";
+  ASSERT_TRUE(LargeModel().Save(path).ok());
+  auto owned = DecodeModelSnapshot(EncodeModelSnapshot(LargeModel()));
+  auto mapped = Model::Load(path);
+  ASSERT_TRUE(owned.ok()) << owned.status();
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_EQ(owned->mapped_bytes(), 0u);
+  EXPECT_GT(mapped->mapped_bytes(), 0u);
+  ExpectIdenticalQueries(LargeModel(), *owned);
+  ExpectIdenticalQueries(LargeModel(), *mapped);
 }
 
-TEST(SnapshotV2Test, V1AndV2ProduceIdenticalFindings) {
+TEST(SnapshotV2Test, OwnedAndMappedDecodeMatchTrainedFindings) {
   Trainer trainer;
   const Model trained =
       trainer.Train(GenerateCorpus(WebCorpusSpec(150, 79)).corpus);
-  auto from_v1 = DecodeModelSnapshot(EncodeModelSnapshotV1(trained));
-  auto from_v2 = DecodeModelSnapshot(EncodeModelSnapshot(trained));
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
+  const std::string path = testing::TempDir() + "/v2_findings.model";
+  ASSERT_TRUE(trained.Save(path).ok());
+  auto owned = DecodeModelSnapshot(EncodeModelSnapshot(trained));
+  auto mapped = Model::Load(path);
+  ASSERT_TRUE(owned.ok()) << owned.status();
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
 
   UniDetectOptions options;
   options.alpha = 1.0;
-  const UniDetect detect_v1(&*from_v1, options);
-  const UniDetect detect_v2(&*from_v2, options);
+  const UniDetect detect_trained(&trained, options);
+  const UniDetect detect_owned(&*owned, options);
+  const UniDetect detect_mapped(&*mapped, options);
   const AnnotatedCorpus test = GenerateCorpus(WebCorpusSpec(25, 83));
   for (const auto& table : test.corpus.tables) {
-    EXPECT_EQ(FindingsToJson(detect_v1.DetectTable(table)),
-              FindingsToJson(detect_v2.DetectTable(table)))
-        << "table " << table.name();
+    const std::string reference =
+        FindingsToJson(detect_trained.DetectTable(table));
+    EXPECT_EQ(reference, FindingsToJson(detect_owned.DetectTable(table)))
+        << "owned decode, table " << table.name();
+    EXPECT_EQ(reference, FindingsToJson(detect_mapped.DetectTable(table)))
+        << "mapped load, table " << table.name();
   }
 }
 
@@ -508,21 +524,6 @@ TEST(ModelViewTest, OpenV2DefaultsToZeroCopy) {
   // index vector, far below the mapped observation payload.
   EXPECT_LT(view->resident_bytes(), view->mapped_bytes());
   ExpectIdenticalQueries(LargeModel(), view->model());
-}
-
-TEST(ModelViewTest, OpenV1AndLegacyTextDecodeIntoOwnedStorage) {
-  const std::string v1_path = testing::TempDir() + "/view_v1.model";
-  const std::string text_path = testing::TempDir() + "/view_text.model";
-  ASSERT_TRUE(
-      WriteStringToFile(v1_path, EncodeModelSnapshotV1(LargeModel())).ok());
-  ASSERT_TRUE(WriteStringToFile(text_path, LargeModel().Serialize()).ok());
-  for (const std::string& path : {v1_path, text_path}) {
-    auto view = ModelView::Open(path);
-    ASSERT_TRUE(view.ok()) << path << ": " << view.status();
-    EXPECT_FALSE(view->zero_copy()) << path;
-    EXPECT_EQ(view->mapped_bytes(), 0u) << path;
-    ExpectIdenticalQueries(LargeModel(), view->model());
-  }
 }
 
 TEST(ModelViewTest, OpenMissingFileFails) {

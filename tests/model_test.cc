@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "model_format/model_snapshot.h"
 #include "util/random.h"
 
 namespace unidetect {
@@ -199,9 +202,13 @@ TEST(ModelTest, SaveLoadPreservesQueries) {
 }
 
 TEST(ModelTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(Model::Deserialize("").ok());
-  EXPECT_FALSE(Model::Deserialize("WrongMagic\n").ok());
-  EXPECT_FALSE(Model::Deserialize("UniDetectModel v1\nbad\n").ok());
+  for (const std::string_view garbage :
+       {std::string_view(), std::string_view("WrongMagic\n"),
+        std::string_view("UniDetectModel v1\nbad\n")}) {
+    auto decoded = DecodeModelSnapshot(garbage);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+  }
 }
 
 TEST(ModelTest, LoadMissingFileIsIOError) {

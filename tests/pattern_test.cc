@@ -10,6 +10,7 @@
 #include "detect/unidetect.h"
 #include "eval/injection.h"
 #include "learn/trainer.h"
+#include "model_format/model_snapshot.h"
 
 namespace unidetect {
 namespace {
@@ -159,20 +160,20 @@ TEST(PatternEndToEndTest, TrainedModelFindsInjectedFormatErrors) {
   EXPECT_GE(hits * 10, top * 8) << "hits " << hits << " of " << top;
 }
 
+// The index persists inside the model snapshot (the v2 pool-ref pattern
+// section): counts and PMI survive exactly.
 TEST(PatternIndexTest, SerializationRoundTrip) {
-  PatternIndex index;
-  index.AddCorpus(PatternCorpus());
-  auto restored = PatternIndex::Deserialize(index.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_columns(), index.num_columns());
-  EXPECT_EQ(restored->PatternCount("\\d+-\\d+-\\d+"), 60u);
-  EXPECT_DOUBLE_EQ(restored->Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"),
+  Model model;
+  model.mutable_pattern_index()->AddCorpus(PatternCorpus());
+  model.Finalize();
+  auto restored = DecodeModelSnapshot(EncodeModelSnapshot(model));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const PatternIndex& index = model.pattern_index();
+  const PatternIndex& decoded = restored->pattern_index();
+  EXPECT_EQ(decoded.num_columns(), index.num_columns());
+  EXPECT_EQ(decoded.PatternCount("\\d+-\\d+-\\d+"), 60u);
+  EXPECT_DOUBLE_EQ(decoded.Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"),
                    index.Pmi("\\d+-\\d+-\\d+", "\\d+-\\l+-\\d+"));
-}
-
-TEST(PatternIndexTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(PatternIndex::Deserialize("").ok());
-  EXPECT_FALSE(PatternIndex::Deserialize("Wrong v9 3\n").ok());
 }
 
 }  // namespace

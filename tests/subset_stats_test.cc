@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "learn/model.h"
+#include "model_format/model_snapshot.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -126,16 +128,22 @@ TEST(SubsetStatsTest, MergeThenFinalize) {
 }
 
 TEST(SubsetStatsTest, SerializationRoundTripExact) {
-  // Values chosen to be inexact in binary: the round trip must preserve
-  // boundary equality (the bug class fixed by max_digits10).
-  SubsetStats stats;
-  stats.Add(10.0 / 13.0, 10.0 / 11.0);
-  stats.Add(20.0 / 21.0, 1.0);
-  stats.Finalize();
-  std::string text;
-  stats.SerializeTo(&text);
-  auto restored = SubsetStats::Deserialize(text);
-  ASSERT_TRUE(restored.ok());
+  // Values chosen to be inexact in binary: the snapshot round trip must
+  // preserve boundary equality (a column with UR 10/13 must still compare
+  // equal to a queried theta of 10/13 after the model is saved and
+  // reloaded).
+  ModelOptions options;
+  options.min_support = 1;
+  Model model(options);
+  const FeatureKey key{7};
+  model.AddObservation(key, 10.0 / 13.0, 10.0 / 11.0);
+  model.AddObservation(key, 20.0 / 21.0, 1.0);
+  model.Finalize();
+  auto decoded = DecodeModelSnapshot(EncodeModelSnapshot(model));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const SubsetStats& stats = *model.FindSubset(key);
+  const SubsetStats* restored = decoded->FindSubset(key);
+  ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->size(), 2u);
   EXPECT_EQ(restored->CountSurprising(SurpriseDirection::kLowerMoreSurprising,
                                       10.0 / 13.0, 10.0 / 11.0),
@@ -146,9 +154,23 @@ TEST(SubsetStatsTest, SerializationRoundTripExact) {
             2u);
 }
 
+// The owned decode factory refuses arrays that do not fit together
+// rather than build stats over them.
 TEST(SubsetStatsTest, DeserializeRejectsTruncation) {
-  EXPECT_FALSE(SubsetStats::Deserialize("3 1 2 3").ok());
-  EXPECT_FALSE(SubsetStats::Deserialize("").ok());
+  EXPECT_TRUE(SubsetStats::FromSortedArraysWithTree({1, 2, 3}, {1, 2}, {})
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(SubsetStats::FromSortedArraysWithTree({3, 1, 2}, {1, 2, 3}, {})
+                  .status()
+                  .IsCorruption());
+  const size_t n = SubsetStats::kTreeMinSize;
+  std::vector<float> pres(n);
+  for (size_t i = 0; i < n; ++i) pres[i] = static_cast<float>(i);
+  const std::vector<float> posts = pres;
+  std::vector<float> tree(SubsetStats::TreeLevelsFor(n) * n - 1);
+  EXPECT_TRUE(SubsetStats::FromSortedArraysWithTree(pres, posts, tree)
+                  .status()
+                  .IsCorruption());
 }
 
 // Property: the numerator is monotone — widening either threshold can

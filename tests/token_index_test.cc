@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "learn/model.h"
+#include "model_format/model_snapshot.h"
+
 namespace unidetect {
 namespace {
 
@@ -67,22 +70,21 @@ TEST(TokenIndexTest, MergeAddsCounts) {
   EXPECT_EQ(a.TableCount("y"), 1u);
 }
 
+// The index persists inside the model snapshot (the v2 pool-ref token
+// section): table totals and per-token counts survive exactly.
 TEST(TokenIndexTest, SerializationRoundTrip) {
-  TokenIndex index;
-  index.AddTable(MakeTable("t", {{"alpha beta", "gamma"}}));
-  index.AddTable(MakeTable("t", {{"alpha"}}));
-  auto restored = TokenIndex::Deserialize(index.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_tables(), 2u);
-  EXPECT_EQ(restored->TableCount("alpha"), 2u);
-  EXPECT_EQ(restored->TableCount("beta"), 1u);
-  EXPECT_EQ(restored->num_tokens(), index.num_tokens());
-}
-
-TEST(TokenIndexTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(TokenIndex::Deserialize("").ok());
-  EXPECT_FALSE(TokenIndex::Deserialize("nonsense\n").ok());
-  EXPECT_FALSE(TokenIndex::Deserialize("TokenIndex v1 1 1\nbadline\n").ok());
+  Model model;
+  model.mutable_token_index()->AddTable(
+      MakeTable("t", {{"alpha beta", "gamma"}}));
+  model.mutable_token_index()->AddTable(MakeTable("t", {{"alpha"}}));
+  model.Finalize();
+  auto restored = DecodeModelSnapshot(EncodeModelSnapshot(model));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const TokenIndex& index = restored->token_index();
+  EXPECT_EQ(index.num_tables(), 2u);
+  EXPECT_EQ(index.TableCount("alpha"), 2u);
+  EXPECT_EQ(index.TableCount("beta"), 1u);
+  EXPECT_EQ(index.num_tokens(), model.token_index().num_tokens());
 }
 
 TEST(TokenIndexTest, ForEachTokenVisitsAll) {

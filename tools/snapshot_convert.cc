@@ -1,20 +1,20 @@
-// snapshot_convert: migrates model artifacts between on-disk formats.
+// snapshot_convert: re-encodes a UDSNAP v2 model artifact and audits
+// delta chains.
 //
-//   $ snapshot_convert <model_in> [--to v1|v2] [--f16|--f32]
-//                      [--out <path>] [--check]
+//   $ snapshot_convert <model_in> [--f16|--f32] [--out <path>] [--check]
 //   $ snapshot_convert <compacted> --check --chain <base> [<delta>...]
 //
-// Reads any supported format (UDSNAP v1/v2 or the legacy text model)
-// with full validation, re-encodes it in the requested format (default:
-// v2, the current writer default), and writes the result. `--f16`
-// quantizes the v2 observation/tree payloads to binary16 (halving the
-// bulk bytes); `--f32` dequantizes an f16 snapshot back to full
-// precision; neither flag preserves the input's storage width. Without
-// `--out` the artifact is upgraded in place — via a temp file + rename
-// so a crash mid-write never leaves a torn snapshot behind. `--check`
-// re-decodes the written bytes and, for a v2 output, verifies that
-// encode(decode(bytes)) reproduces the bytes exactly (the canonical-
-// packing guarantee DESIGN.md section 12 promises).
+// Reads a v2 snapshot with full validation, re-encodes it, and writes
+// the result. `--f16` quantizes the observation/tree payloads to
+// binary16 (halving the bulk bytes); `--f32` dequantizes an f16
+// snapshot back to full precision; neither flag preserves the input's
+// storage width. Without `--out` the artifact is rewritten in place —
+// via a temp file + rename so a crash mid-write never leaves a torn
+// snapshot behind. `--check` re-decodes the written bytes and verifies
+// that encode(decode(bytes)) reproduces them exactly (the canonical-
+// packing guarantee DESIGN.md section 12 promises). Exit status: 0 on
+// success, 1 on a typed error (unreadable, corrupt or retired-v1 input;
+// a failed check), 2 on a usage error.
 //
 // `--chain` switches to audit-only mode (nothing is written): the
 // remaining arguments name a base snapshot and its delta artifacts in
@@ -42,8 +42,8 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: snapshot_convert <model_in> [--to v1|v2] "
-               "[--f16|--f32] [--out <path>] [--check]\n"
+               "usage: snapshot_convert <model_in> [--f16|--f32] "
+               "[--out <path>] [--check]\n"
                "       snapshot_convert <compacted> --check --chain "
                "<base> [<delta>...]\n");
   return 2;
@@ -52,18 +52,6 @@ int Usage() {
 int Fail(const Status& status) {
   std::fprintf(stderr, "snapshot_convert: %s\n", status.ToString().c_str());
   return 1;
-}
-
-const char* FormatName(std::string_view bytes) {
-  if (!LooksLikeModelSnapshot(bytes)) return "legacy text";
-  switch (SnapshotVersionOf(bytes)) {
-    case 1:
-      return "UDSNAP v1";
-    case 2:
-      return "UDSNAP v2";
-    default:
-      return "UDSNAP (unknown version)";
-  }
 }
 
 /// \brief Audit-only mode: verifies that `compacted_path` is exactly the
@@ -131,7 +119,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string in_path = argv[1];
   std::string out_path = in_path;
-  uint32_t to_version = 2;
   bool check = false;
   std::vector<std::string> chain;
   ObservationEncoding encoding = ObservationEncoding::kPreserve;
@@ -141,16 +128,7 @@ int main(int argc, char** argv) {
       for (++i; i < argc; ++i) chain.push_back(argv[i]);
       break;
     }
-    if (std::strcmp(argv[i], "--to") == 0 && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "v1" || v == "1") {
-        to_version = 1;
-      } else if (v == "v2" || v == "2") {
-        to_version = 2;
-      } else {
-        return Usage();
-      }
-    } else if (std::strcmp(argv[i], "--f16") == 0) {
+    if (std::strcmp(argv[i], "--f16") == 0) {
       encoding = ObservationEncoding::kF16;
     } else if (std::strcmp(argv[i], "--f32") == 0) {
       encoding = ObservationEncoding::kF32;
@@ -163,40 +141,27 @@ int main(int argc, char** argv) {
     }
   }
   if (!chain.empty()) return AuditChain(in_path, chain);
-  if (to_version == 1 && encoding == ObservationEncoding::kF16) {
-    std::fprintf(stderr,
-                 "snapshot_convert: --f16 requires the v2 layout "
-                 "(v1 stores full-precision observations only)\n");
-    return 2;
-  }
-
-  auto original = ReadFileToString(in_path);
-  if (!original.ok()) return Fail(original.status());
-  const char* from_name = FormatName(*original);
 
   // Full validation on the way in: a conversion must never launder a
   // corrupt artifact into a fresh checksum.
   auto model = LoadModelFromFile(in_path, SnapshotValidation::kFull);
   if (!model.ok()) return Fail(model.status());
 
-  const std::string encoded = to_version == 2
-                                  ? EncodeModelSnapshotV2(*model, encoding)
-                                  : EncodeModelSnapshotV1(*model);
+  const std::string encoded = EncodeModelSnapshotV2(*model, encoding);
 
   if (check) {
     auto redecoded = DecodeModelSnapshot(encoded, SnapshotValidation::kFull);
     if (!redecoded.ok()) return Fail(redecoded.status());
     // kPreserve re-encodes the decoded model in whatever width the file
     // carries, so this round trip is exact for f16 and f32 outputs alike.
-    if (to_version == 2 &&
-        EncodeModelSnapshotV2(*redecoded,
-                              ObservationEncoding::kPreserve) != encoded) {
+    if (EncodeModelSnapshotV2(*redecoded, ObservationEncoding::kPreserve) !=
+        encoded) {
       return Fail(Status::Corruption(
-          "snapshot_convert: v2 re-encode is not bit-identical"));
+          "snapshot_convert: re-encode is not bit-identical"));
     }
   }
 
-  // Write-then-rename keeps the in-place upgrade atomic: readers see
+  // Write-then-rename keeps the in-place rewrite atomic: readers see
   // either the old artifact or the complete new one, never a prefix.
   const std::string tmp_path = out_path + ".tmp";
   Status status = WriteStringToFile(tmp_path, encoded);
@@ -206,8 +171,8 @@ int main(int argc, char** argv) {
   }
   if (!status.ok()) return Fail(status);
 
-  std::printf("%s (%zu bytes, %s) -> %s (%zu bytes, UDSNAP v%u)%s\n",
-              in_path.c_str(), original->size(), from_name, out_path.c_str(),
-              encoded.size(), to_version, check ? " [checked]" : "");
+  std::printf("%s -> %s (%zu bytes, UDSNAP v%u)%s\n", in_path.c_str(),
+              out_path.c_str(), encoded.size(), kSnapshotVersion,
+              check ? " [checked]" : "");
   return 0;
 }
