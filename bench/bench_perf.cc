@@ -33,6 +33,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/simd.h"
+#include "util/string_util.h"
 
 namespace unidetect {
 namespace {
@@ -299,6 +300,82 @@ void BM_DetectTable(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DetectTable)->Arg(20)->Arg(100)->Arg(500)->Arg(900);
+
+// A copy that shares no cache with `table`, as a table decoded from the
+// wire or loaded from disk arrives.
+Table FreshCopy(const Table& table) {
+  Table copy(table.name());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& column = table.column(c);
+    UNIDETECT_CHECK(copy.AddColumn(Column(column.name(), column.cells())).ok());
+  }
+  return copy;
+}
+
+// BM_DetectTable on a fresh copy per iteration (made outside the timed
+// region): adds the per-column type inference, numeric parse and value
+// encoding that the warm table has cached.
+void BM_DetectTableCold(benchmark::State& state) {
+  const Model& model = SharedModel();
+  Rng rng(13);
+  AnnotatedTable t = GenerateTable(Archetype::kPartsInventory,
+                                   static_cast<size_t>(state.range(0)), rng);
+  UniDetectOptions options;
+  options.alpha = 1.0;
+  UniDetect detector(&model, options);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Table fresh = FreshCopy(t.table);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(detector.DetectTable(fresh));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DetectTableCold)->Arg(100)->Arg(500)->Arg(900);
+
+// 500 prices and quantities ("1,234.5", "17", "0.25"): every value is
+// numeric, so the profile parses each distinct one.
+Column MakeNumericColumn(int64_t n) {
+  Rng rng(23);
+  std::vector<std::string> cells;
+  for (int64_t i = 0; i < n; ++i) {
+    switch (rng.NextBounded(3)) {
+      case 0:
+        cells.push_back(std::to_string(rng.NextBounded(500)));
+        break;
+      case 1:
+        cells.push_back(FormatDouble(
+            static_cast<double>(rng.NextBounded(100000)) / 100.0, 2));
+        break;
+      default:
+        cells.push_back(
+            "1," + std::to_string(100 + rng.NextBounded(900)) + ".5");
+        break;
+    }
+  }
+  return Column("price", cells);
+}
+
+// The first read of type(), NumericValues() and Encoding() on a fresh
+// column (copied outside the timed region): 0 = numeric, 1 = part code,
+// 2 = text.
+void BM_ColumnProfile(benchmark::State& state) {
+  const int64_t kRows = 500;
+  const Column source = state.range(0) == 0   ? MakeNumericColumn(kRows)
+                        : state.range(0) == 1 ? MakeCodeColumn(kRows)
+                                              : MakeNameColumn(kRows);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Column fresh(source.name(), source.cells());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(fresh.type());
+    benchmark::DoNotOptimize(fresh.NumericValues().data());
+    benchmark::DoNotOptimize(fresh.Encoding().ids.data());
+  }
+  state.SetLabel(source.name());
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ColumnProfile)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TrainThroughput(benchmark::State& state) {
   const AnnotatedCorpus corpus =

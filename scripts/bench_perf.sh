@@ -14,8 +14,12 @@
 # observation sections), and the PR 8 layered-serving sweep
 # (BM_ApplyDelta incremental publish vs the BM_ReloadLatency v2 floor,
 # BM_LrQueryLayered at K = 0/1/2/5 resident delta layers, BM_Compact
-# fold-and-swap cost). Each optimized path and its baseline live in
-# the same binary, so one run captures both sides.
+# fold-and-swap cost), and the cold column profile (BM_DetectTableCold,
+# a fresh table copy per iteration, against the warm BM_DetectTable;
+# BM_ColumnProfile, the first read of type(), NumericValues() and
+# Encoding() on a fresh numeric, part-code and text column). Each
+# optimized path and its baseline live in the same binary, so one run
+# captures both sides.
 #
 # Usage: scripts/bench_perf.sh [extra benchmark args...]
 set -euo pipefail
@@ -32,7 +36,7 @@ fi
 ctest --test-dir build -L 'perf|offline' --output-on-failure
 
 build/bench/bench_perf \
-  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|OfflineBuild|OfflineMerge)' \
+  --benchmark_filter='BM_(MpdProfile|MpdProfileReference|LrQuery|LrQueryLinear|LrQueryLoadedModel|LrQueryLayered|CountSurprising|BoundedEditDistance|EditDistance|LikelihoodRatioLookup|ModelLoadV2|ReloadLatency|ApplyDelta|Compact|DetectBatch|DetectBatchWarmCache|DetectTable|DetectTableCold|ColumnProfile|OfflineBuild|OfflineMerge)' \
   --benchmark_format=json \
   --benchmark_out=BENCH_PR8.json \
   --benchmark_out_format=json \

@@ -52,7 +52,7 @@ ctest --preset release
 # kernel onto its scalar path; re-run the suites that exercise them so
 # the fallback stays green on machines without AVX2/NEON.
 UNIDETECT_DISABLE_SIMD=1 ctest --test-dir build-release --output-on-failure \
-  -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|FrEquivalence|UrEquivalence|PrevalenceEquivalence|ColumnEncoding|Candidate|TrainedModelPin'
+  -R 'Simd|Dispersion|SubsetStats|Mpd|MetricFunctions|SnapshotV2|Detect|FrEquivalence|UrEquivalence|PrevalenceEquivalence|ColumnEncoding|ColumnProfileEquivalence|Candidate|TrainedModelPin'
 
 run_preset asan-ubsan
 ctest --preset asan-ubsan
@@ -60,9 +60,10 @@ ctest --preset asan-ubsan
 # prevalence memo against their string-keyed oracles, the MPD prefilter
 # kernel against its scalar twin, the reusable Myers pattern, the
 # candidate split, the golden findings and the trained-model pin, under
-# address+UB sanitizers (the encoding's copy/move lifetime test too).
+# address+UB sanitizers (the encoding's copy/move lifetime test too), and
+# the one-pass column profile against the per-cell type and parse rules.
 ctest --test-dir build-asan-ubsan --output-on-failure \
-  -R 'FrEquivalence|UrEquivalence|PrevalenceEquivalence|MpdEquivalence|SimdMpd|MyersPattern|ColumnEncoding|Candidate|FindingJsonGolden|TrainedModelPin'
+  -R 'FrEquivalence|UrEquivalence|PrevalenceEquivalence|MpdEquivalence|SimdMpd|MyersPattern|ColumnEncoding|ColumnProfileEquivalence|Candidate|FindingJsonGolden|TrainedModelPin'
 
 run_preset tsan
 ctest --preset tsan

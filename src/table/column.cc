@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <functional>
-#include <unordered_set>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace unidetect {
+
+namespace {
+constexpr double kNoNumber = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
 
 void Column::SetCell(size_t row, std::string value) {
   cells_[row] = std::move(value);
@@ -22,7 +27,6 @@ void Column::Append(std::string value) {
 }
 
 void Column::InvalidateCaches() const {
-  type_cached_ = false;
   numeric_cached_ = false;
   encoding_cached_ = false;
 }
@@ -35,16 +39,18 @@ void Column::ReleaseCaches() const {
 }
 
 ColumnType Column::type() const {
-  if (type_cached_) return type_;
+  Encoding();
+  return type_;
+}
+
+void Column::FoldType() const {
+  const ColumnEncoding& enc = encoding_;
   std::array<size_t, 6> counts{};
-  size_t non_empty = 0;
-  for (const auto& cell : cells_) {
-    ValueType vt = ClassifyValue(cell);
-    counts[static_cast<size_t>(vt)]++;
-    if (vt != ValueType::kEmpty) ++non_empty;
+  for (size_t id = 0; id < enc.num_distinct(); ++id) {
+    counts[static_cast<size_t>(enc.types[id])] += enc.counts[id];
   }
   ColumnType result = ColumnType::kUnknown;
-  if (non_empty > 0) {
+  if (enc.non_empty > 0) {
     const size_t n_int = counts[static_cast<size_t>(ValueType::kInteger)];
     const size_t n_float = counts[static_cast<size_t>(ValueType::kFloat)];
     const size_t n_date = counts[static_cast<size_t>(ValueType::kDate)];
@@ -53,7 +59,7 @@ ColumnType Column::type() const {
     // dominate; a few stray strings in a numeric column (headers leaked
     // into data, "Unknown" markers) should not flip the type, but a
     // genuinely mixed column is kString/kMixedAlnum.
-    const double denom = static_cast<double>(non_empty);
+    const double denom = static_cast<double>(enc.non_empty);
     if (n_date / denom > 0.8) {
       result = ColumnType::kDate;
     } else if ((n_int + n_float) / denom > 0.8) {
@@ -66,20 +72,26 @@ ColumnType Column::type() const {
     }
   }
   type_ = result;
-  type_cached_ = true;
-  return type_;
 }
 
 void Column::EnsureNumericCache() const {
   if (numeric_cached_) return;
+  const ColumnEncoding& enc = Encoding();
   numeric_values_.clear();
   numeric_rows_.clear();
-  non_empty_count_ = 0;
-  for (size_t row = 0; row < cells_.size(); ++row) {
-    if (Trim(cells_[row]).empty()) continue;
-    ++non_empty_count_;
-    if (auto v = ParseNumeric(cells_[row])) {
-      numeric_values_.push_back(*v);
+  if (!enc.numbers.empty()) {
+    size_t n = 0;
+    for (size_t id = 0; id < enc.num_distinct(); ++id) {
+      if (!std::isnan(enc.numbers[id])) n += enc.counts[id];
+    }
+    numeric_values_.reserve(n);
+    numeric_rows_.reserve(n);
+    for (size_t row = 0; row < enc.ids.size(); ++row) {
+      const uint32_t id = enc.ids[row];
+      if (id == ColumnEncoding::kEmpty || std::isnan(enc.numbers[id])) {
+        continue;
+      }
+      numeric_values_.push_back(enc.numbers[id]);
       numeric_rows_.push_back(row);
     }
   }
@@ -98,17 +110,12 @@ const std::vector<size_t>& Column::NumericRows() const {
 
 double Column::NumericFraction() const {
   EnsureNumericCache();
-  if (non_empty_count_ == 0) return 0.0;
+  if (encoding_.non_empty == 0) return 0.0;
   return static_cast<double>(numeric_values_.size()) /
-         static_cast<double>(non_empty_count_);
+         static_cast<double>(encoding_.non_empty);
 }
 
-size_t Column::NumDistinct() const {
-  std::unordered_set<std::string_view> distinct;
-  distinct.reserve(cells_.size());
-  for (const auto& cell : cells_) distinct.insert(cell);
-  return distinct.size();
-}
+size_t Column::NumDistinct() const { return Encoding().num_distinct(); }
 
 const ColumnEncoding& Column::Encoding() const {
   if (encoding_cached_) return encoding_;
@@ -118,6 +125,8 @@ const ColumnEncoding& Column::Encoding() const {
   enc.ids.assign(cells_.size(), ColumnEncoding::kEmpty);
   enc.first_rows.clear();
   enc.counts.clear();
+  enc.types.clear();
+  enc.numbers.clear();
   enc.non_empty = 0;
   // Open addressing over ids: a slot holds id + 1 (0 = free) and a probe
   // compares the trimmed text of the id's first row, so nothing outlives
@@ -140,10 +149,18 @@ const ColumnEncoding& Column::Encoding() const {
       slot = (slot + 1) & (slots - 1);
     }
     if (table[slot] == 0) {
-      table[slot] = static_cast<uint32_t>(enc.first_rows.size()) + 1;
+      const size_t new_id = enc.first_rows.size();
+      table[slot] = static_cast<uint32_t>(new_id) + 1;
       enc.first_rows.push_back(static_cast<uint32_t>(row));
       enc.counts.push_back(0);
       id_hash.push_back(hash);
+      const ValueProfile profile = ProfileTrimmedValue(cell);
+      enc.types.push_back(profile.type);
+      // numbers grows only at ids with a number; the gaps are NaN.
+      if (!std::isnan(profile.number)) {
+        enc.numbers.resize(new_id, kNoNumber);
+        enc.numbers.push_back(profile.number);
+      }
     }
     const uint32_t id = table[slot] - 1;
     enc.ids[row] = id;
@@ -152,7 +169,11 @@ const ColumnEncoding& Column::Encoding() const {
   // The encoding lives as long as the column: drop the growth slack.
   enc.first_rows.shrink_to_fit();
   enc.counts.shrink_to_fit();
+  enc.types.shrink_to_fit();
+  if (!enc.numbers.empty()) enc.numbers.resize(enc.num_distinct(), kNoNumber);
+  enc.numbers.shrink_to_fit();
   encoding_cached_ = true;
+  FoldType();
   return enc;
 }
 

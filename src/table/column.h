@@ -13,11 +13,14 @@
 
 namespace unidetect {
 
-/// \brief Dense integer encoding of a column's trimmed cell values.
+/// \brief Dense integer encoding of a column's trimmed cell values, with
+/// the type and number of each distinct value.
 ///
 /// Equal `Trim`med cells share one id; ids are assigned 0, 1, 2, ... in
 /// order of first occurrence, so id k's value is the trimmed text of
-/// row `first_rows[k]`. The encoding holds row indices only, never views
+/// row `first_rows[k]`. Each id is classified and parsed once, when it
+/// is first seen (ProfileTrimmedValue), so the column's type and numeric
+/// views are folds over the ids, not passes over the cells. The encoding holds row indices only, never views
 /// into the cell strings, so it stays valid when its Column is copied or
 /// moved (short strings live inline and change address with the Column).
 /// Rows and ids are 32-bit: a column holds fewer than 2^32 - 1 rows.
@@ -31,6 +34,11 @@ struct ColumnEncoding {
   std::vector<uint32_t> first_rows;
   /// Per id: the number of rows holding it.
   std::vector<uint32_t> counts;
+  /// Per id: ClassifyValue of its value.
+  std::vector<ValueType> types;
+  /// Per id: ParseNumeric of its value, NaN where it has none. Empty
+  /// when no id has one (most text columns).
+  std::vector<double> numbers;
   /// Rows whose cell is not empty after trimming.
   size_t non_empty = 0;
 
@@ -39,15 +47,18 @@ struct ColumnEncoding {
 
 /// \brief A single table column.
 ///
-/// Cells are stored as strings (tables in the wild are untyped text);
-/// numeric interpretation, the dominant ColumnType and the value
-/// encoding are derived on demand and cached. Mutation invalidates the
-/// caches.
+/// Cells are stored as strings (tables in the wild are untyped text).
+/// Everything else is derived on demand from one pass over the cells:
+/// Encoding() dedups the trimmed cells and classifies and parses each
+/// distinct value once; type() is a count-weighted fold over its ids,
+/// and NumericValues()/NumericRows() are gathered from its ids on their
+/// first read. Mutation invalidates both caches.
 ///
 /// Thread safety: the lazy caches are filled on first read through a
 /// const method, so two threads must not make the first read of one
-/// Column at once (this holds for type(), NumericValues() and
-/// Encoding() alike). Detection respects this by giving each table to
+/// Column at once (the first call of type(), NumericValues(),
+/// NumericRows(), NumericFraction(), NumDistinct() or Encoding() builds
+/// the encoding). Detection respects this by giving each table to
 /// exactly one worker: UniDetect::DetectCorpus and
 /// DetectionService::DetectBatch shard by table, never within one.
 class Column {
@@ -86,7 +97,8 @@ class Column {
   /// \brief Fraction of non-empty cells that parse as numbers.
   double NumericFraction() const;
 
-  /// \brief Number of distinct cell strings.
+  /// \brief Number of distinct non-empty trimmed values
+  /// (Encoding().num_distinct()).
   size_t NumDistinct() const;
 
   /// \brief The value encoding of the trimmed cells (see ColumnEncoding).
@@ -108,20 +120,19 @@ class Column {
 
  private:
   void InvalidateCaches() const;
+  void FoldType() const;
   void EnsureNumericCache() const;
 
   std::string name_;
   std::vector<std::string> cells_;
 
-  // Lazily computed caches.
-  mutable bool type_cached_ = false;
+  // Lazily computed caches. type_ is folded when the encoding is built.
+  mutable bool encoding_cached_ = false;
+  mutable ColumnEncoding encoding_;
   mutable ColumnType type_ = ColumnType::kUnknown;
   mutable bool numeric_cached_ = false;
   mutable std::vector<double> numeric_values_;
   mutable std::vector<size_t> numeric_rows_;
-  mutable size_t non_empty_count_ = 0;
-  mutable bool encoding_cached_ = false;
-  mutable ColumnEncoding encoding_;
 };
 
 }  // namespace unidetect

@@ -13,8 +13,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -54,6 +56,34 @@ Model BuildModel() {
   return model;
 }
 
+// The container's format_version field, read the way every container
+// reader reads it: nullopt when the magic is not intact or the 16-byte
+// header is cut short (both Corruption before the version is looked at).
+std::optional<uint32_t> ContainerVersion(std::string_view bytes) {
+  if (bytes.size() < 16 || bytes.substr(0, kSnapshotMagic.size()) !=
+                               kSnapshotMagic) {
+    return std::nullopt;
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + kSnapshotMagic.size(), 4);
+  return version;
+}
+
+// A container reader's failure class is fixed by the header: a version
+// newer than kSnapshotVersion behind an intact magic is NotImplemented
+// (upgrade the reader), anything else that fails is Corruption.
+void ExpectContainerStatus(const Status& status, std::string_view bytes,
+                           const char* reader) {
+  const std::optional<uint32_t> version = ContainerVersion(bytes);
+  if (version.has_value() && *version > kSnapshotVersion) {
+    EXPECT_TRUE(status.IsNotImplemented())
+        << reader << " on format version " << *version << ": " << status;
+  } else if (!status.ok()) {
+    EXPECT_TRUE(status.IsCorruption())
+        << reader << ": unexpected status class: " << status;
+  }
+}
+
 // The decode contract under fuzzing: success or a typed error, nothing
 // else. Any crash (SIGSEGV/SIGBUS from an OOB read, std::bad_alloc from
 // an unvalidated count, an assert) fails the whole binary, which is the
@@ -61,12 +91,8 @@ Model BuildModel() {
 void ExpectDecodesOrRejects(const std::string& bytes) {
   for (SnapshotValidation validation :
        {SnapshotValidation::kFull, SnapshotValidation::kDeferPayload}) {
-    auto decoded = DecodeModelSnapshot(bytes, validation);
-    if (!decoded.ok()) {
-      EXPECT_TRUE(decoded.status().IsCorruption() ||
-                  decoded.status().IsNotImplemented())
-          << "unexpected status class: " << decoded.status();
-    }
+    ExpectContainerStatus(DecodeModelSnapshot(bytes, validation).status(),
+                          bytes, "DecodeModelSnapshot");
   }
 }
 
@@ -135,23 +161,53 @@ std::string Mutate(const std::string& base, Rng& rng) {
   return bytes;
 }
 
+// The manifest_version field of a readable v2 container's delta
+// manifest, found the way FindDeltaManifest finds it: the first table
+// row with the manifest id, 32 bytes long, inside the file, CRC intact.
+// nullopt when the reader stops earlier (with Corruption) or finds none.
+std::optional<uint32_t> ManifestVersion(std::string_view bytes) {
+  if (ContainerVersion(bytes) != kSnapshotVersion) return std::nullopt;
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 12, 4);
+  if (count > (bytes.size() - 16) / 24) return std::nullopt;
+  for (uint32_t e = 0; e < count; ++e) {
+    const char* entry = bytes.data() + 16 + size_t{e} * 24;
+    uint32_t id = 0, crc = 0;
+    uint64_t offset = 0, length = 0;
+    std::memcpy(&id, entry, 4);
+    std::memcpy(&crc, entry + 4, 4);
+    std::memcpy(&offset, entry + 8, 8);
+    std::memcpy(&length, entry + 16, 8);
+    if (id != static_cast<uint32_t>(SnapshotSection::kDeltaManifest)) continue;
+    if (length != 32 || offset > bytes.size() - 32) return std::nullopt;
+    const std::string_view payload = bytes.substr(offset, 32);
+    if (Crc32(payload) != crc) return std::nullopt;
+    uint32_t version = 0;
+    std::memcpy(&version, payload.data(), 4);
+    return version;
+  }
+  return std::nullopt;
+}
+
 // The delta read surface on top of the plain decode contract: the
 // manifest finder and the artifact-id hash must also return a typed
 // error or a value — a hostile manifest must never size an allocation
-// or drive a chain walk.
+// or drive a chain walk. Both follow the container rule; the finder
+// also answers NotImplemented, and only then, for a manifest from a
+// newer writer (manifest_version above 1) inside a readable container.
 void ExpectDeltaReadersSurvive(const std::string& bytes) {
   ExpectDecodesOrRejects(bytes);
-  auto manifest = FindDeltaManifest(bytes);
-  if (!manifest.ok()) {
-    EXPECT_TRUE(manifest.status().IsCorruption() ||
-                manifest.status().IsNotImplemented())
-        << "unexpected status class: " << manifest.status();
+  const Status manifest = FindDeltaManifest(bytes).status();
+  const std::optional<uint32_t> manifest_version = ManifestVersion(bytes);
+  if (manifest_version.has_value() && *manifest_version > 1) {
+    EXPECT_TRUE(manifest.IsNotImplemented())
+        << "FindDeltaManifest on manifest version " << *manifest_version
+        << ": " << manifest;
+  } else {
+    ExpectContainerStatus(manifest, bytes, "FindDeltaManifest");
   }
-  auto id = SnapshotArtifactId(bytes);
-  if (!id.ok()) {
-    EXPECT_TRUE(id.status().IsCorruption())
-        << "unexpected status class: " << id.status();
-  }
+  ExpectContainerStatus(SnapshotArtifactId(bytes).status(), bytes,
+                        "SnapshotArtifactId");
 }
 
 // Delta-targeted mutations on top of the generic menu: the manifest
@@ -246,17 +302,9 @@ TEST(SnapshotFuzzSmokeTest, MutatedF16SnapshotsNeverCrash) {
 TEST(SnapshotFuzzSmokeTest, MutatedV1SnapshotsNeverCrash) {
   const std::string base = RetiredV1Snapshot();
   EXPECT_TRUE(DecodeModelSnapshot(base).status().IsCorruption());
-  const auto expect_typed = [](const Status& status) {
-    EXPECT_TRUE(status.ok() || status.IsCorruption() ||
-                status.IsNotImplemented())
-        << "unexpected status class: " << status;
-  };
   Rng rng(3003);
   for (int i = 0; i < 300; ++i) {
-    const std::string bytes = Mutate(base, rng);
-    ExpectDecodesOrRejects(bytes);
-    expect_typed(FindDeltaManifest(bytes).status());
-    expect_typed(SnapshotArtifactId(bytes).status());
+    ExpectDeltaReadersSurvive(Mutate(base, rng));
   }
 }
 
@@ -278,6 +326,29 @@ TEST(SnapshotFuzzSmokeTest, MutatedDeltaSnapshotsNeverCrash) {
   Rng rng(4004);
   for (int i = 0; i < 300; ++i) {
     ExpectDeltaReadersSurvive(MutateDelta(base, rng));
+  }
+}
+
+// A delta from a newer writer: both delta readers must ask for a newer
+// reader (NotImplemented), not call the file corrupt. 771751937
+// (0x2E000001) is version 1 with a stray high byte, as a mutant of a v1
+// file reads.
+TEST(SnapshotFuzzSmokeTest, NewerDeltaVersionIsNotImplemented) {
+  DeltaManifest manifest;
+  manifest.base_id = 0x1234567890ABCDEFull;
+  manifest.parent_id = 0x1234567890ABCDEFull;
+  manifest.depth = 1;
+  const std::string delta = EncodeModelSnapshotV2(
+      BuildModel(), ObservationEncoding::kF32, &manifest);
+  for (const uint32_t version : {3u, 771751937u}) {
+    std::string bytes = delta;
+    std::memcpy(&bytes[kSnapshotMagic.size()], &version, 4);
+    ASSERT_EQ(ContainerVersion(bytes), version);
+    EXPECT_TRUE(FindDeltaManifest(bytes).status().IsNotImplemented())
+        << version << ": " << FindDeltaManifest(bytes).status();
+    EXPECT_TRUE(SnapshotArtifactId(bytes).status().IsNotImplemented())
+        << version << ": " << SnapshotArtifactId(bytes).status();
+    ExpectDeltaReadersSurvive(bytes);
   }
 }
 
